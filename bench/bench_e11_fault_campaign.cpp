@@ -12,6 +12,7 @@
 #include <string>
 
 #include "bench_util.hpp"
+#include "campaign/engine.hpp"
 #include "core/case_study.hpp"
 #include "fault/campaign.hpp"
 #include "fault/plan.hpp"
@@ -80,6 +81,14 @@ bool hil_scenario(fault::RunContext& ctx) {
   return result.metrics.settled;
 }
 
+/// Runs one campaign through the engine; nothing is written to disk.
+fault::CampaignReport run_campaign(const fault::CampaignOptions& opts,
+                                   const fault::CampaignScenario& scenario) {
+  campaign::EngineOptions eo;
+  eo.campaign = opts;
+  return campaign::CampaignEngine(eo).run(scenario).report;
+}
+
 std::uint64_t merged_counter(const fault::CampaignReport& report,
                              const std::string& name) {
   const auto* c = report.merged.find_counter(name);
@@ -114,8 +123,7 @@ void print_table() {
     opts.threads = campaign_threads();
     opts.plan = fault::FaultPlan::defaults().scaled(mult);
     bench::Stopwatch watch;
-    const fault::CampaignReport report =
-        fault::CampaignRunner(opts).run(pil_scenario);
+    const fault::CampaignReport report = run_campaign(opts, pil_scenario);
     const double runs_per_s =
         1000.0 * static_cast<double>(report.runs) / watch.elapsed_ms();
 
@@ -181,8 +189,7 @@ void print_table() {
     opts.threads = campaign_threads();
     opts.plan = fault::FaultPlan::defaults().scaled(mult);
     bench::Stopwatch watch;
-    const fault::CampaignReport report =
-        fault::CampaignRunner(opts).run(hil_scenario);
+    const fault::CampaignReport report = run_campaign(opts, hil_scenario);
     const double runs_per_s =
         1000.0 * static_cast<double>(report.runs) / watch.elapsed_ms();
     const double iae = merged_iae_mean(report);

@@ -2,9 +2,10 @@
 // scheduler + streaming O(sites) aggregation + checkpoint/resume measured
 // against the retained baseline.  Four tables:
 //
-//   (a) memory: fault::CampaignRunner (retains per-run registries and
-//       health reports, then copies them into the report) vs the streaming
-//       CampaignEngine, peak RSS measured in a forked child per
+//   (a) memory: exec::SweepRunner running fault::campaign_group (the
+//       retaining sink: every run's registry and health report is kept)
+//       vs the streaming CampaignEngine running the same campaign_group,
+//       peak RSS measured in a forked child per
 //       configuration (ru_maxrss is a process-lifetime high-water mark, so
 //       in-process comparisons would contaminate each other).  The
 //       retained cost is linear in runs; the extrapolated retained RSS at
@@ -15,8 +16,9 @@
 //       stealing vs cyclic placement with steal-half stealing — the gated
 //       speedup (>= 1.3x runs/s).
 //   (c) determinism: the engine's campaign JSON is byte-identical across
-//       thread counts, batch widths and placements, and identical to
-//       fault::CampaignRunner's.
+//       thread counts, batch widths and placements to the sequential
+//       reference (threads 1, batch 1), and so is the retained sweep's
+//       report folded afterwards.
 //   (d) checkpoint/resume: a child process killed (_exit) mid-campaign
 //       right after a checkpoint seal; the resumed campaign's report JSON
 //       and evidence MANIFEST.jsonl are byte-compared against an
@@ -31,6 +33,7 @@
 
 #include "bench_util.hpp"
 #include "campaign/engine.hpp"
+#include "exec/sweep.hpp"
 #include "fault/campaign.hpp"
 #include "fault/rng.hpp"
 
@@ -118,6 +121,26 @@ campaign::EngineOptions engine_options(const char* name, std::size_t runs,
   return eo;
 }
 
+/// The retained baseline: exec::SweepRunner runs the engine's
+/// fault::campaign_group but keeps every run's registry and health report
+/// (O(runs) memory); folding them afterwards gives the engine's report.
+fault::CampaignReport retained_report(const fault::CampaignOptions& opts,
+                                      const fault::CampaignScenario& scenario) {
+  const exec::SweepRunner::Result result =
+      exec::SweepRunner({.threads = opts.threads, .batch = opts.batch})
+          .run(opts.runs, exec::SweepRunner::BatchHealthScenario(
+                              fault::campaign_group(opts, scenario)));
+  fault::CampaignReport report;
+  report.name = opts.name;
+  report.seed = opts.seed;
+  report.runs = opts.runs;
+  report.health.runs = 0;
+  for (std::size_t i = 0; i < opts.runs; ++i) {
+    report.fold(i, result.per_run[i], result.per_run_health[i]);
+  }
+  return report;
+}
+
 std::uint64_t fnv64(const std::string& s) {
   std::uint64_t h = 1469598103934665603ULL;
   for (unsigned char c : s) {
@@ -201,7 +224,7 @@ void memory_table() {
   const std::size_t threads = bench_threads();
   const std::size_t iters = 400;
 
-  std::printf("(a) aggregation memory: retained runner vs streaming engine "
+  std::printf("(a) aggregation memory: retained sweep vs streaming engine "
               "(peak RSS per forked child)\n\n");
   std::printf("%-26s | %-8s %-12s %-10s\n", "engine", "runs", "peak RSS[MB]",
               "wall[ms]");
@@ -209,10 +232,9 @@ void memory_table() {
 
   const auto scenario = make_scenario(iters, 0, /*heavy_health=*/true);
   const ChildResult retained = measure_in_child([&] {
-    const auto report =
-        fault::CampaignRunner(campaign_options("e14_mem", n, threads))
-            .run(scenario);
-    return fnv64(report.to_json());
+    return fnv64(
+        retained_report(campaign_options("e14_mem", n, threads), scenario)
+            .to_json());
   });
   const ChildResult streaming = measure_in_child([&] {
     campaign::CampaignEngine engine(
@@ -225,7 +247,7 @@ void memory_table() {
     return fnv64(engine.run(scenario).report.to_json());
   });
 
-  std::printf("%-26s | %-8zu %-12.1f %-10.1f\n", "retained (CampaignRunner)",
+  std::printf("%-26s | %-8zu %-12.1f %-10.1f\n", "retained (SweepRunner)",
               n, retained.rss_kb / 1024.0, retained.wall_ms);
   std::printf("%-26s | %-8zu %-12.1f %-10.1f\n", "streaming (engine)", n,
               streaming.rss_kb / 1024.0, streaming.wall_ms);
@@ -283,12 +305,11 @@ void steal_table() {
   bench::print_rule(70);
 
   const auto scenario = make_scenario(iters, heavy_front, false);
-  auto run_once = [&](bool contiguous, bool stealing, campaign::StreamStats& sched) {
+  auto run_once = [&](bool contiguous, campaign::StreamStats& sched) {
     campaign::EngineOptions eo = engine_options(
         "e14_steal", n, threads,
         contiguous ? "E14_steal_static" : "E14_steal_ws");
     eo.contiguous = contiguous;
-    eo.stealing = stealing;
     campaign::CampaignEngine engine(eo);
     auto result = engine.run(scenario);
     sched = result.sched;
@@ -297,7 +318,7 @@ void steal_table() {
 
   campaign::StreamStats static_sched;
   bench::Stopwatch static_watch;
-  const std::uint64_t static_hash = run_once(true, false, static_sched);
+  const std::uint64_t static_hash = run_once(true, static_sched);
   const double static_ms = static_watch.elapsed_ms();
   const double static_rps = 1000.0 * static_cast<double>(n) / static_ms;
   std::printf("%-26s | %-10.1f %-10.1f %-8llu %-8s\n",
@@ -306,7 +327,7 @@ void steal_table() {
 
   campaign::StreamStats ws_sched;
   bench::Stopwatch ws_watch;
-  const std::uint64_t ws_hash = run_once(false, true, ws_sched);
+  const std::uint64_t ws_hash = run_once(false, ws_sched);
   const double ws_ms = ws_watch.elapsed_ms();
   const double ws_rps = 1000.0 * static_cast<double>(n) / ws_ms;
   const double speedup = ws_rps / static_rps;
@@ -335,13 +356,14 @@ void identity_table() {
   const std::size_t iters = 200;
   const auto scenario = make_scenario(iters, n / 8, true);
 
-  std::printf("(c) determinism: campaign JSON across engines/threads/"
-              "batches\n\n");
+  std::printf("(c) determinism: campaign JSON across threads/batches/"
+              "placements and the retained sweep\n\n");
 
-  const auto baseline =
-      fault::CampaignRunner(campaign_options("e14_ident", n, 1))
-          .run(scenario);
-  const std::string expect = baseline.to_json();
+  // Sequential reference: threads 1, batch 1, nothing written to disk.
+  campaign::EngineOptions reference;
+  reference.campaign = campaign_options("e14_ident", n, 1);
+  const std::string expect =
+      campaign::CampaignEngine(reference).run(scenario).report.to_json();
 
   struct Config {
     const char* label;
@@ -365,9 +387,15 @@ void identity_table() {
     const auto result = campaign::CampaignEngine(eo).run(scenario);
     const bool same = result.report.to_json() == expect;
     all_identical = all_identical && same;
-    std::printf("  %-22s vs retained runner: %s\n", c.label,
+    std::printf("  %-22s vs reference: %s\n", c.label,
                 same ? "byte-identical" : "DIFFERS");
   }
+  const bool retained_same =
+      retained_report(campaign_options("e14_ident", n, 4), scenario)
+          .to_json() == expect;
+  all_identical = all_identical && retained_same;
+  std::printf("  %-22s vs reference: %s\n", "retained sweep t4",
+              retained_same ? "byte-identical" : "DIFFERS");
   std::printf("\n");
   bench::summarize("e14.identity.all_identical", all_identical ? 1.0 : 0.0);
 }

@@ -11,8 +11,8 @@
 //   (b) bit-rate sweep at 16 nodes: the full farm against a shrinking
 //       bus, down to where status/command traffic saturates the wire.
 //   (c) determinism: the default-plan farm campaign's merged report JSON
-//       (retained runner AND streaming engine) plus the evidence
-//       MANIFEST.jsonl byte-compared across 1/2/8 sweep threads.
+//       (with evidence off AND on) plus the evidence MANIFEST.jsonl
+//       byte-compared across 1/2/8 campaign threads.
 //   (d) campaign gate: the 16-node farm under the default fault plan —
 //       node kills, degrades, bus corruption, encoder glitches — must
 //       recover on EVERY run (e15.campaign.unrecovered == 0).
@@ -150,7 +150,7 @@ void identity_table() {
   auto cfg = farm_config(15, 500000);
   cfg.duration_s = bench::smoke() ? 0.15 : 0.3;
 
-  std::printf("(c) determinism: default-plan farm campaign across sweep "
+  std::printf("(c) determinism: default-plan farm campaign across campaign "
               "threads (%zu runs, %.2f s horizon)\n\n",
               runs, cfg.duration_s);
 
@@ -169,14 +169,15 @@ void identity_table() {
   bool reports_identical = true;
   bool manifests_identical = true;
   for (const std::size_t threads : {1u, 2u, 8u}) {
+    // Report without evidence, then report + evidence manifest.
+    campaign::EngineOptions eo;
+    eo.campaign = campaign_options(threads);
     const fault::CampaignReport report =
-        fault::CampaignRunner(campaign_options(threads))
-            .run(cosim::make_farm_scenario(cfg));
+        campaign::CampaignEngine(eo).run(cosim::make_farm_scenario(cfg))
+            .report;
 
     const std::string dir = "E15_ident_t" + std::to_string(threads);
     std::filesystem::remove_all(dir);
-    campaign::EngineOptions eo;
-    eo.campaign = campaign_options(threads);
     eo.evidence_dir = dir;
     eo.write_run_artifacts = false;
     const campaign::EngineResult er =
@@ -195,7 +196,7 @@ void identity_table() {
     }
     reports_identical = reports_identical && engine_same && json_same;
     manifests_identical = manifests_identical && manifest_same;
-    std::printf("  t%zu: runner vs engine %s, vs t1 reference: report %s, "
+    std::printf("  t%zu: evidence off vs on %s, vs t1 reference: report %s, "
                 "manifest %s\n",
                 threads, engine_same ? "byte-identical" : "DIFFER",
                 json_same ? "byte-identical" : "DIFFERS",
@@ -227,9 +228,11 @@ void campaign_gate_table() {
   options.threads = threads;
   options.plan = fault::FaultPlan::defaults();
 
+  campaign::EngineOptions eo;
+  eo.campaign = options;
   bench::Stopwatch watch;
   const fault::CampaignReport report =
-      fault::CampaignRunner(options).run(cosim::make_farm_scenario(cfg));
+      campaign::CampaignEngine(eo).run(cosim::make_farm_scenario(cfg)).report;
   const double wall_ms = watch.elapsed_ms();
   const double runs_per_s =
       wall_ms > 0.0 ? 1000.0 * static_cast<double>(runs) / wall_ms : 0.0;

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/engine.hpp"
 #include "core/case_study.hpp"
 #include "evidence/sink.hpp"
 #include "evidence/verify.hpp"
@@ -131,15 +132,14 @@ void act_three_campaign() {
   std::printf("=== 3. campaign evidence: per-run artifacts + manifest "
               "===\n\n");
 
-  const auto opts1 = campaign_options(1);
-  const auto report1 = fault::CampaignRunner(opts1).run(campaign_body);
-  const auto ev1 = evidence::write_campaign_evidence("evidence_out/campaign",
-                                                     opts1, report1);
-
-  const auto opts4 = campaign_options(4);
-  const auto report4 = fault::CampaignRunner(opts4).run(campaign_body);
-  const auto ev4 = evidence::write_campaign_evidence(
-      "evidence_out/campaign_t4", opts4, report4);
+  auto record = [](std::size_t threads, const char* dir) {
+    campaign::EngineOptions eo;
+    eo.campaign = campaign_options(threads);
+    eo.evidence_dir = dir;
+    return campaign::CampaignEngine(eo).run(campaign_body).evidence;
+  };
+  const auto ev1 = record(1, "evidence_out/campaign");
+  const auto ev4 = record(4, "evidence_out/campaign_t4");
 
   std::printf("%zu run artifacts + merged.evd + MANIFEST.jsonl -> "
               "evidence_out/campaign\n",

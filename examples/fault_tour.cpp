@@ -9,8 +9,8 @@
 //      retransmits through every loss (the board answers duplicates from
 //      its response cache without re-stepping the controller) and the
 //      degradation collapses.
-//   4. A deterministic campaign: fault::CampaignRunner fans N runs over
-//      worker threads and folds them in index order — the
+//   4. A deterministic campaign: campaign::CampaignEngine fans N runs
+//      over worker threads and folds them in index order — the
 //      CAMPAIGN_fault_tour.json report is byte-identical for any thread
 //      count.
 //
@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <string>
 
+#include "campaign/engine.hpp"
 #include "core/case_study.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
@@ -100,14 +101,14 @@ void act_two_three_lossy_link() {
 void act_four_campaign() {
   std::printf("=== 4. deterministic campaign ===\n\n");
 
-  fault::CampaignOptions opts;
-  opts.name = "fault_tour";
-  opts.seed = 42;
-  opts.runs = 4;
-  opts.threads = 4;
-  opts.plan = fault::FaultPlan::defaults();
+  campaign::EngineOptions eo;  // no evidence_dir: nothing written
+  eo.campaign.name = "fault_tour";
+  eo.campaign.seed = 42;
+  eo.campaign.runs = 4;
+  eo.campaign.threads = 4;
+  eo.campaign.plan = fault::FaultPlan::defaults();
   const fault::CampaignReport report =
-      fault::CampaignRunner(opts).run([](fault::RunContext& ctx) {
+      campaign::CampaignEngine(eo).run([](fault::RunContext& ctx) {
         core::ServoSystem servo(tour_config());
         obs::MonitorHub hub;
         core::ServoSystem::PilRunOptions run;
@@ -122,7 +123,7 @@ void act_four_campaign() {
         const auto* abandoned =
             result.report.metrics.find_counter("pil.exchanges_abandoned");
         return abandoned == nullptr || abandoned->value == 0;
-      });
+      }).report;
 
   std::printf("%s\n", report.summary().c_str());
   std::printf("per-site injections:\n");

@@ -18,7 +18,7 @@ using evidence::store_str;
 /// Version of the opaque state blob inside the checkpoint record; bumped
 /// whenever the layout below changes (the record's own schema version
 /// covers only the outer framing).
-constexpr std::uint16_t kStateVersion = 1;
+constexpr std::uint16_t kStateVersion = 2;
 
 // ------------------------------------------------------------ config hash
 
@@ -278,24 +278,28 @@ std::uint64_t campaign_config_hash(const fault::CampaignOptions& options) {
 
 bool save_checkpoint(const std::string& path, const CheckpointState& state) {
   std::vector<std::uint8_t> blob;
+  const fault::CampaignReport& report = state.report;
   store_le<std::uint16_t>(blob, kStateVersion);
-  encode_health_report(blob, state.health);
+  encode_health_report(blob, report.health);
+  store_le<std::uint64_t>(blob, report.unrecovered);
+  store_le<std::uint64_t>(blob, report.faults_injected);
+  store_le<std::uint64_t>(blob, report.fault_opportunities);
   store_le<std::uint32_t>(blob,
                           static_cast<std::uint32_t>(
-                              state.unrecovered_runs.size()));
-  for (std::size_t index : state.unrecovered_runs) {
+                              report.unrecovered_runs.size()));
+  for (std::size_t index : report.unrecovered_runs) {
     store_le<std::uint64_t>(blob, index);
-    const auto it = state.unrecovered_health.find(index);
-    store_le<std::uint8_t>(blob, it != state.unrecovered_health.end() ? 1 : 0);
-    if (it != state.unrecovered_health.end()) {
+    const auto it = report.unrecovered_health.find(index);
+    store_le<std::uint8_t>(blob, it != report.unrecovered_health.end() ? 1 : 0);
+    if (it != report.unrecovered_health.end()) {
       encode_health_report(blob, it->second);
     }
   }
 
   std::vector<std::uint8_t> payload;
-  store_str(payload, state.name);
+  store_str(payload, report.name);
   store_le<std::uint64_t>(payload, state.config_hash);
-  store_le<std::uint64_t>(payload, state.total_runs);
+  store_le<std::uint64_t>(payload, report.runs);
   store_le<std::uint64_t>(payload, state.watermark);
   store_le<std::uint32_t>(payload, static_cast<std::uint32_t>(blob.size()));
   payload.insert(payload.end(), blob.begin(), blob.end());
@@ -303,7 +307,7 @@ bool save_checkpoint(const std::string& path, const CheckpointState& state) {
   evidence::EvidenceWriter writer;
   writer.record_build_info();
   writer.append_record(evidence::kSchemaCampaignCheckpoint, 1, payload);
-  writer.record_metrics(state.merged);
+  writer.record_metrics(report.merged);
   writer.finish();
 
   const std::string tmp = path + ".tmp";
@@ -334,18 +338,21 @@ CheckpointStatus load_checkpoint(const std::string& path,
       reader.campaign_checkpoints().front();
 
   out = CheckpointState{};
-  out.name = rec.name;
   out.config_hash = rec.config_hash;
-  out.total_runs = rec.total_runs;
   out.watermark = rec.watermark;
-  out.merged = reader.metrics();
+  fault::CampaignReport& report = out.report;
+  report.name = rec.name;
+  report.runs = static_cast<std::size_t>(rec.total_runs);
+  report.merged = reader.metrics();
 
   PayloadCursor cur(rec.state.data(), rec.state.size());
   std::uint16_t version = 0;
   if (!cur.read(version) || version != kStateVersion) {
     return CheckpointStatus::kCorrupt;
   }
-  if (!decode_health_report(cur, out.health)) {
+  if (!decode_health_report(cur, report.health) ||
+      !cur.read(report.unrecovered) || !cur.read(report.faults_injected) ||
+      !cur.read(report.fault_opportunities)) {
     return CheckpointStatus::kCorrupt;
   }
   std::uint32_t unrecovered = 0;
@@ -356,14 +363,14 @@ CheckpointStatus load_checkpoint(const std::string& path,
     if (!cur.read(index) || !cur.read(has_health)) {
       return CheckpointStatus::kCorrupt;
     }
-    out.unrecovered_runs.push_back(static_cast<std::size_t>(index));
+    report.unrecovered_runs.push_back(static_cast<std::size_t>(index));
     if (has_health != 0) {
       obs::HealthReport health;
       if (!decode_health_report(cur, health)) {
         return CheckpointStatus::kCorrupt;
       }
-      out.unrecovered_health.emplace(static_cast<std::size_t>(index),
-                                     std::move(health));
+      report.unrecovered_health.emplace(static_cast<std::size_t>(index),
+                                        std::move(health));
     }
   }
   if (!cur.done()) return CheckpointStatus::kCorrupt;

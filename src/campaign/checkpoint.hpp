@@ -13,8 +13,9 @@
 ///     all travel as little-endian integers / IEEE-754 bit patterns),
 ///   * an opaque state blob carrying what the metric records cannot: the
 ///     merged obs::HealthReport (full TimingMonitor / WatermarkMonitor /
-///     LatencyHistogram raw state, including the jitter seam) plus the
-///     unrecovered-run indices and their retained health reports.
+///     LatencyHistogram raw state, including the jitter seam), the report
+///     totals, and the unrecovered-run indices with their retained health
+///     reports.
 ///
 /// Because every field round-trips bit-exactly, a campaign resumed from a
 /// checkpoint produces a merged report — and an evidence manifest — that
@@ -43,19 +44,18 @@ namespace iecd::campaign {
 
 /// Everything a resumed campaign starts from.
 struct CheckpointState {
-  std::string name;
   std::uint64_t config_hash = 0;
-  std::uint64_t total_runs = 0;
-  /// Runs [0, watermark) are folded into the state below (and their
-  /// artifacts sealed on disk when per-run evidence is enabled).  Always
-  /// lane-group aligned — the engine seals only at group boundaries, so a
-  /// resume reproduces the uninterrupted run's exact group structure.
+  /// Runs [0, watermark) are folded into \p report (and their artifacts
+  /// sealed on disk when per-run evidence is enabled).  Always lane-group
+  /// aligned — the engine seals only at group boundaries, so a resume
+  /// reproduces the uninterrupted run's exact group structure.
   std::uint64_t watermark = 0;
-
-  trace::MetricsRegistry merged;  ///< index-order fold of runs [0, watermark)
-  obs::HealthReport health;       ///< same fold (runs counts folded runs)
-  std::vector<std::size_t> unrecovered_runs;  ///< ascending, all < watermark
-  std::map<std::size_t, obs::HealthReport> unrecovered_health;
+  /// The campaign's report so far: name and runs identify the campaign;
+  /// merged, health, the unrecovered runs (ascending, all < watermark)
+  /// with their retained health, and the totals are the
+  /// CampaignReport::fold of runs [0, watermark).  seed is not stored (the
+  /// config hash covers it).
+  fault::CampaignReport report;
 };
 
 enum class CheckpointStatus {

@@ -1,69 +1,13 @@
 #include "campaign/engine.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <filesystem>
-#include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "evidence/writer.hpp"
 
 namespace iecd::campaign {
-
-namespace {
-
-/// Per-lane campaign execution, identical to fault::CampaignRunner's
-/// scalar path: seeded injector, scenario, shared bookkeeping.
-StreamRunner::GroupFn make_group_fn(const fault::CampaignOptions& opts,
-                                    const fault::CampaignScenario& scenario) {
-  return [&opts, &scenario](std::size_t first,
-                            std::span<trace::MetricsRegistry> metrics,
-                            std::span<obs::HealthReport> health) {
-    for (std::size_t k = 0; k < metrics.size(); ++k) {
-      const std::size_t index = first + k;
-      fault::FaultInjector injector(
-          fault::CampaignRunner::run_seed(opts.seed, index), opts.plan);
-      fault::RunContext ctx{index, injector.seed(), injector, metrics[k],
-                            health[k]};
-      const bool recovered = scenario(ctx);
-      fault::finalize_run_bookkeeping(injector, recovered, metrics[k]);
-    }
-  };
-}
-
-/// Batched variant, identical to fault::CampaignRunner's batch path.
-StreamRunner::GroupFn make_group_fn(
-    const fault::CampaignOptions& opts,
-    const fault::BatchCampaignScenario& scenario) {
-  return [&opts, &scenario](std::size_t first,
-                            std::span<trace::MetricsRegistry> metrics,
-                            std::span<obs::HealthReport> health) {
-    const std::size_t width = metrics.size();
-    // FaultInjector is pinned in place (non-copyable, non-movable): a
-    // deque grows without relocating the lanes already built.
-    std::deque<fault::FaultInjector> injectors;
-    std::vector<fault::RunContext> lanes;
-    lanes.reserve(width);
-    for (std::size_t k = 0; k < width; ++k) {
-      const std::size_t index = first + k;
-      injectors.emplace_back(
-          fault::CampaignRunner::run_seed(opts.seed, index), opts.plan);
-      lanes.push_back(fault::RunContext{index, injectors.back().seed(),
-                                        injectors.back(), metrics[k],
-                                        health[k]});
-    }
-    // std::vector<bool> is a proxy type, unusable as span<bool>.
-    auto rec = std::make_unique<bool[]>(width);
-    for (std::size_t k = 0; k < width; ++k) rec[k] = true;
-    scenario(std::span<fault::RunContext>(lanes),
-             std::span<bool>(rec.get(), width));
-    for (std::size_t k = 0; k < width; ++k) {
-      fault::finalize_run_bookkeeping(injectors[k], rec[k], metrics[k]);
-    }
-  };
-}
-
-}  // namespace
 
 CampaignEngine::CampaignEngine(EngineOptions options)
     : options_(std::move(options)) {}
@@ -76,49 +20,43 @@ std::string CampaignEngine::checkpoint_path() const {
       .string();
 }
 
-EngineResult CampaignEngine::run(
-    const fault::CampaignScenario& scenario) const {
-  return execute(make_group_fn(options_.campaign, scenario));
-}
-
-EngineResult CampaignEngine::run(
-    const fault::BatchCampaignScenario& scenario) const {
-  return execute(make_group_fn(options_.campaign, scenario));
-}
-
-EngineResult CampaignEngine::execute(
-    const StreamRunner::GroupFn& group_fn) const {
+EngineResult CampaignEngine::run(fault::AnyCampaignScenario scenario) const {
   const fault::CampaignOptions& opts = options_.campaign;
   const std::size_t batch = std::max<std::size_t>(1, opts.batch);
   const std::string& dir = options_.evidence_dir;
-  std::filesystem::create_directories(dir);
+  const bool to_disk = !dir.empty();
+  if (!to_disk && options_.checkpoint_every > 0) {
+    throw std::invalid_argument(
+        "CampaignEngine: checkpoint_every needs an evidence_dir");
+  }
+  const bool run_artifacts = to_disk && options_.write_run_artifacts;
+  if (to_disk) std::filesystem::create_directories(dir);
   const std::string ckpt_path = checkpoint_path();
 
   EngineResult result;
 
   CheckpointState state;
-  state.name = opts.name;
   state.config_hash = campaign_config_hash(opts);
-  state.total_runs = opts.runs;
-  // HealthReport defaults to runs = 1; the fold counts folded runs, same
-  // as exec::SweepRunner's health path.
-  state.health.runs = 0;
+  state.report.name = opts.name;
+  state.report.runs = opts.runs;
+  // HealthReport defaults to runs = 1; the fold counts folded runs.
+  state.report.health.runs = 0;
 
   std::vector<evidence::RunArtifact> artifacts;
 
   if (options_.checkpoint_every > 0 && options_.resume) {
     CheckpointState loaded;
     if (load_checkpoint(ckpt_path, loaded) == CheckpointStatus::kOk &&
-        loaded.name == state.name &&
+        loaded.report.name == opts.name &&
         loaded.config_hash == state.config_hash &&
-        loaded.total_runs == opts.runs && loaded.watermark <= opts.runs &&
+        loaded.report.runs == opts.runs && loaded.watermark <= opts.runs &&
         (loaded.watermark % batch == 0 || loaded.watermark == opts.runs)) {
       // Re-describe the completed runs' artifacts instead of storing
       // O(runs) descriptors in the checkpoint; any missing or corrupt
       // file invalidates the resume (fresh start is always safe).
       bool intact = true;
       std::vector<evidence::RunArtifact> described(
-          options_.write_run_artifacts ? loaded.watermark : 0);
+          run_artifacts ? loaded.watermark : 0);
       for (std::size_t i = 0; i < described.size(); ++i) {
         if (!evidence::describe_artifact_file(
                 dir, evidence::run_artifact_filename(i), described[i])) {
@@ -133,21 +71,22 @@ EngineResult CampaignEngine::execute(
       }
     }
   }
+  state.report.seed = opts.seed;
   result.resume_start = static_cast<std::size_t>(state.watermark);
+
+  obs::CampaignProgress* progress = options_.progress;
+  if (progress != nullptr) {
+    progress->runs_total.store(opts.runs, std::memory_order_relaxed);
+    progress->runs_completed.store(result.resume_start,
+                                   std::memory_order_relaxed);
+  }
 
   std::size_t last_checkpoint = result.resume_start;
   StreamRunner::SinkFn sink = [&](GroupResult& group) {
     for (std::size_t k = 0; k < group.metrics.size(); ++k) {
       const std::size_t index = group.first + k;
-      state.merged.merge(group.metrics[k]);
-      state.health.merge(group.health[k]);
-      const auto* c =
-          group.metrics[k].find_counter("campaign.unrecovered");
-      if (c != nullptr && c->value > 0) {
-        state.unrecovered_runs.push_back(index);
-        state.unrecovered_health.emplace(index, group.health[k]);
-      }
-      if (options_.write_run_artifacts) {
+      state.report.fold(index, group.metrics[k], group.health[k]);
+      if (run_artifacts) {
         const std::uint64_t seed =
             fault::CampaignRunner::run_seed(opts.seed, index);
         evidence::EvidenceWriter writer = evidence::build_run_artifact(
@@ -159,6 +98,11 @@ EngineResult CampaignEngine::execute(
       }
     }
     state.watermark = group.first + group.metrics.size();
+    if (progress != nullptr) {
+      progress->groups_completed.fetch_add(1, std::memory_order_relaxed);
+      progress->runs_completed.fetch_add(group.metrics.size(),
+                                         std::memory_order_relaxed);
+    }
     // Seal at lane-group boundaries only, so the watermark stays
     // group-aligned and a resume reproduces the uninterrupted run's exact
     // group structure.
@@ -167,9 +111,8 @@ EngineResult CampaignEngine::execute(
       if (save_checkpoint(ckpt_path, state)) {
         last_checkpoint = static_cast<std::size_t>(state.watermark);
         ++result.checkpoints_sealed;
-        if (options_.progress != nullptr) {
-          options_.progress->checkpoints.fetch_add(1,
-                                                   std::memory_order_relaxed);
+        if (progress != nullptr) {
+          progress->checkpoints.fetch_add(1, std::memory_order_relaxed);
         }
         if (options_.on_checkpoint) options_.on_checkpoint(state);
       }
@@ -179,36 +122,26 @@ EngineResult CampaignEngine::execute(
   StreamOptions so;
   so.threads = opts.threads;
   so.batch = batch;
-  so.window = options_.window;
-  so.chunk = options_.chunk;
-  so.stealing = options_.stealing;
+  so.stealing = !options_.contiguous;
   so.placement = options_.contiguous ? Placement::kContiguous
                                      : Placement::kCyclic;
-  so.progress = options_.progress;
-  StreamRunner stream(so);
-  result.sched = stream.run(opts.runs, result.resume_start, group_fn, sink);
-
-  fault::CampaignReport& report = result.report;
-  report.name = opts.name;
-  report.seed = opts.seed;
-  report.runs = opts.runs;
-  report.merged = std::move(state.merged);
-  report.health = std::move(state.health);
-  report.unrecovered_runs = std::move(state.unrecovered_runs);
-  report.unrecovered_health = std::move(state.unrecovered_health);
-  if (const auto* c = report.merged.find_counter("campaign.unrecovered")) {
-    report.unrecovered = c->value;
-  }
-  if (const auto* c = report.merged.find_counter("campaign.faults_injected")) {
-    report.faults_injected = c->value;
-  }
-  if (const auto* c =
-          report.merged.find_counter("campaign.fault_opportunities")) {
-    report.fault_opportunities = c->value;
+  result.sched = StreamRunner(so).run(
+      opts.runs, result.resume_start,
+      fault::campaign_group(opts, std::move(scenario)), sink);
+  if (progress != nullptr) {
+    progress->steals.fetch_add(result.sched.steals,
+                               std::memory_order_relaxed);
+    progress->steal_attempts.fetch_add(result.sched.steal_attempts,
+                                       std::memory_order_relaxed);
+    progress->window_waits.fetch_add(result.sched.window_waits,
+                                     std::memory_order_relaxed);
   }
 
-  result.evidence = evidence::finish_campaign_evidence(dir, opts, report,
-                                                       std::move(artifacts));
+  result.report = std::move(state.report);
+  if (!to_disk) return result;
+
+  result.evidence = evidence::finish_campaign_evidence(
+      dir, opts, result.report, std::move(artifacts));
 
   // The campaign finished; the checkpoint has served its purpose.  A
   // stale one must not survive into the next (possibly different)

@@ -1,18 +1,18 @@
 /// \file engine.hpp
-/// CampaignEngine: the fleet-scale fault-campaign driver — the
-/// work-stealing StreamRunner feeding one streaming, index-ordered sink
-/// that merges each run, retains only the unrecovered runs' health,
-/// writes per-run evidence as runs complete, and periodically seals a
-/// resume checkpoint (checkpoint.hpp).  Memory is O(sites + histograms +
-/// reorder window + unrecovered), never O(runs) — the difference the E14
-/// bench gates at 100k runs.
+/// CampaignEngine: the one way to run a fault campaign — the work-stealing
+/// StreamRunner running fault::campaign_group and feeding one streaming,
+/// index-ordered sink that folds each run into the report
+/// (fault::CampaignReport::fold, which retains only the unrecovered runs'
+/// health), writes per-run evidence as runs complete, and periodically
+/// seals a resume checkpoint (checkpoint.hpp).  Memory is O(sites +
+/// histograms + reorder window + unrecovered), never O(runs) — the
+/// difference the E14 bench gates against exec::SweepRunner, which runs
+/// the same campaign_group but retains every run.
 ///
 /// Contracts (all locked by the campaign suite):
-///   * the final CampaignReport and its JSON are byte-identical to
-///     fault::CampaignRunner's for the same options (modulo the retained
-///     per_run vectors, which the engine leaves empty);
-///   * outputs are byte-identical for any thread count, chunk size,
-///     steal schedule and reorder window;
+///   * the final CampaignReport and its JSON match a committed golden and
+///     are byte-identical for any thread count, batch width, placement
+///     and steal schedule, with or without evidence and checkpoints;
 ///   * kill the process after any checkpoint seal, run the engine again,
 ///     and the resumed merged report + evidence manifest are
 ///     byte-identical to the uninterrupted run's.
@@ -26,21 +26,22 @@
 #include "campaign/stream.hpp"
 #include "evidence/sink.hpp"
 #include "fault/campaign.hpp"
+#include "obs/progress.hpp"
 
 namespace iecd::campaign {
 
 struct EngineOptions {
   /// Campaign identity + fault plan + threads/batch (fault layer options;
-  /// the engine reuses fault::CampaignRunner::run_seed and
-  /// fault::finalize_run_bookkeeping so per-run registries are
-  /// byte-identical to the retained runner's).
+  /// each run is seeded, executed and booked by fault::campaign_group).
   fault::CampaignOptions campaign;
   /// Evidence directory: run_<index>.evd artifacts stream in as runs
   /// complete, CHECKPOINT.evd lives here between seals, merged.evd and
-  /// MANIFEST.jsonl seal the finished campaign.
+  /// MANIFEST.jsonl seal the finished campaign.  Empty = write nothing to
+  /// disk (EngineResult::evidence stays empty).
   std::string evidence_dir;
   /// Seal a checkpoint after (at least) this many runs since the previous
-  /// seal, at the next lane-group boundary.  0 disables checkpointing.
+  /// seal, at the next lane-group boundary.  0 disables checkpointing;
+  /// non-zero requires an evidence_dir (std::invalid_argument otherwise).
   std::size_t checkpoint_every = 0;
   /// Pick up a matching CHECKPOINT.evd and resume at its watermark.  A
   /// missing, corrupt or configuration-mismatched checkpoint silently
@@ -52,11 +53,14 @@ struct EngineOptions {
   /// merged artifact and manifest are still written.
   bool write_run_artifacts = true;
 
-  // ------------------------- scheduling knobs (StreamOptions semantics)
-  std::size_t window = 0;  ///< reorder window in runs (0 = auto)
-  std::size_t chunk = 0;   ///< groups per placement chunk (0 = auto)
-  bool stealing = true;    ///< steal-half work stealing
-  bool contiguous = false; ///< static-tiling baseline placement
+  /// Static-tiling baseline schedule: contiguous placement without work
+  /// stealing (StreamOptions semantics) — the measured baseline, not the
+  /// shipping configuration.  Outputs are identical either way.
+  bool contiguous = false;
+  /// Optional live progress tap (obs/progress.hpp), purely observational:
+  /// outputs are byte-identical with it on or off.  runs_total is the
+  /// campaign's run count and runs_completed starts at the resume
+  /// watermark, so a resumed campaign still ends at 100%.
   obs::CampaignProgress* progress = nullptr;
 
   /// Called after every checkpoint seal with the state just written
@@ -67,9 +71,8 @@ struct EngineOptions {
 };
 
 struct EngineResult {
-  /// Same content as fault::CampaignRunner's report except per_run /
-  /// per_run_health stay empty (streaming); unrecovered_health carries the
-  /// retained flight-recorder evidence instead.
+  /// The folded report; unrecovered_health carries the retained
+  /// flight-recorder evidence of the unrecovered runs.
   fault::CampaignReport report;
   evidence::CampaignEvidence evidence;
   StreamStats sched;
@@ -84,16 +87,15 @@ class CampaignEngine {
 
   const EngineOptions& options() const { return options_; }
 
-  EngineResult run(const fault::CampaignScenario& scenario) const;
-  EngineResult run(const fault::BatchCampaignScenario& scenario) const;
+  /// Runs the campaign.  Exceptions thrown by the scenario propagate (at
+  /// any thread count); no run at or after the throwing one is folded.
+  EngineResult run(fault::AnyCampaignScenario scenario) const;
 
   /// "CHECKPOINT.evd" within the evidence directory.
   static std::string checkpoint_filename();
   std::string checkpoint_path() const;
 
  private:
-  EngineResult execute(const StreamRunner::GroupFn& group_fn) const;
-
   EngineOptions options_;
 };
 

@@ -109,7 +109,12 @@ class ReorderFold {
   /// Wakes wait_eligible() callers so they re-check their cancel
   /// predicate after external state changed (a steal emptied a deque, the
   /// run is shutting down, ...).
-  void notify() { cv_.notify_all(); }
+  void notify() {
+    // Taking the lock orders the caller's state change before any waiter's
+    // next predicate check, so the wake-up cannot be lost.
+    { std::lock_guard<std::mutex> lock(mu_); }
+    cv_.notify_all();
+  }
 
   /// Peak number of groups buffered out of order (memory telemetry).
   std::size_t peak_pending() const {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <deque>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -123,9 +124,6 @@ StreamStats StreamRunner::run(std::size_t runs, std::size_t start,
                  : std::numeric_limits<std::size_t>::max() / 2;
   }
   stats.window = window;
-  if (options_.progress != nullptr) {
-    options_.progress->runs_total.store(runs, std::memory_order_relaxed);
-  }
   if (groups == 0) return stats;
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -138,15 +136,6 @@ StreamStats StreamRunner::run(std::size_t runs, std::size_t start,
     result->health.resize(count);
     return result;
   };
-  auto finish_group = [&](GroupResult& result) {
-    sink(result);
-    if (options_.progress != nullptr) {
-      options_.progress->groups_completed.fetch_add(
-          1, std::memory_order_relaxed);
-      options_.progress->runs_completed.fetch_add(
-          result.metrics.size(), std::memory_order_relaxed);
-    }
-  };
 
   if (threads == 1) {
     // Sequential reference execution: claim, execute and fold each group
@@ -157,7 +146,7 @@ StreamStats StreamRunner::run(std::size_t runs, std::size_t start,
       group_fn(result->first,
                std::span<trace::MetricsRegistry>(result->metrics),
                std::span<obs::HealthReport>(result->health));
-      finish_group(*result);
+      sink(*result);
     }
     stats.wall_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
@@ -165,7 +154,7 @@ StreamStats StreamRunner::run(std::size_t runs, std::size_t start,
     return stats;
   }
 
-  ReorderFold fold(start, window, finish_group);
+  ReorderFold fold(start, window, sink);
 
   // Deal chunks of groups to the worker deques.
   std::vector<WorkerQueue> workers(threads);
@@ -192,11 +181,15 @@ StreamStats StreamRunner::run(std::size_t runs, std::size_t start,
   std::atomic<std::size_t> unclaimed{groups};
   std::atomic<std::uint64_t> steals{0}, steal_attempts{0}, window_waits{0};
   const bool stealing = options_.stealing;
-  obs::CampaignProgress* progress = options_.progress;
+  // First exception of any worker; once set, no worker claims another
+  // group and window waiters are released.
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;
+  std::mutex error_mu;
 
-  auto worker_loop = [&](std::size_t id) {
+  auto claim_and_run = [&](std::size_t id) {
     std::size_t g = 0;
-    for (;;) {
+    while (!failed.load(std::memory_order_acquire)) {
       bool have = workers[id].pop_front(g);
       if (!have && stealing) {
         // Scan victims round-robin from our right-hand neighbour; the
@@ -227,10 +220,11 @@ StreamStats StreamRunner::run(std::size_t runs, std::size_t start,
         // the watermark group's holder is never parked here (it claims
         // lowest-first), so the fold always advances.
         window_waits.fetch_add(1, std::memory_order_relaxed);
-        if (progress != nullptr) {
-          progress->window_waits.fetch_add(1, std::memory_order_relaxed);
+        if (!fold.wait_eligible(first, [&] {
+              return failed.load(std::memory_order_acquire);
+            })) {
+          break;
         }
-        fold.wait_eligible(first, [] { return false; });
       }
 
       auto result = make_buffers(g);
@@ -240,6 +234,18 @@ StreamStats StreamRunner::run(std::size_t runs, std::size_t start,
       fold.submit(std::move(result));
     }
   };
+  auto worker_loop = [&](std::size_t id) {
+    try {
+      claim_and_run(id);
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+      }
+      failed.store(true, std::memory_order_release);
+      fold.notify();
+    }
+  };
 
   std::vector<std::thread> pool;
   pool.reserve(threads);
@@ -247,16 +253,12 @@ StreamStats StreamRunner::run(std::size_t runs, std::size_t start,
     pool.emplace_back(worker_loop, w);
   }
   for (std::thread& t : pool) t.join();
+  if (error) std::rethrow_exception(error);
 
   stats.steals = steals.load(std::memory_order_relaxed);
   stats.steal_attempts = steal_attempts.load(std::memory_order_relaxed);
   stats.window_waits = window_waits.load(std::memory_order_relaxed);
   stats.peak_pending_groups = fold.peak_pending();
-  if (progress != nullptr) {
-    progress->steals.fetch_add(stats.steals, std::memory_order_relaxed);
-    progress->steal_attempts.fetch_add(stats.steal_attempts,
-                                       std::memory_order_relaxed);
-  }
   stats.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t0)
                       .count();

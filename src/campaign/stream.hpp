@@ -27,7 +27,6 @@
 #include <span>
 
 #include "campaign/fold.hpp"
-#include "obs/progress.hpp"
 
 namespace iecd::campaign {
 
@@ -55,8 +54,6 @@ struct StreamOptions {
   /// Steal-half work stealing between worker deques.  Off = pure static
   /// schedule (the baseline the E14 bench gates against).
   bool stealing = true;
-  /// Optional live progress counters (obs/progress.hpp).
-  obs::CampaignProgress* progress = nullptr;
 };
 
 struct StreamStats {
@@ -90,7 +87,11 @@ class StreamRunner {
 
   const StreamOptions& options() const { return options_; }
 
-  /// Executes runs [0, runs).
+  /// Executes runs [0, runs).  An exception thrown by \p group (or
+  /// \p sink) propagates to the caller at any thread count: the first one
+  /// stops every worker from claiming further groups, in-flight groups
+  /// finish, the threads are joined and the exception is rethrown.  The
+  /// sink never sees the throwing group or any later one.
   StreamStats run(std::size_t runs, const GroupFn& group,
                   const SinkFn& sink) const;
 

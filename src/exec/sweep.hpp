@@ -14,11 +14,11 @@
 ///
 /// Execution engine: runs ride on campaign::StreamRunner — a work-stealing
 /// scheduler (per-worker chunk deques, steal-half) feeding a windowed
-/// index-order fold.  Heterogeneous run costs no longer idle threads the
-/// way static tiling did, and the fold is streaming: per-run registries are
-/// folded the moment all lower indices are folded, so memory is
-/// O(sites + window) unless per-run retention is requested
-/// (SweepOptions::retain_per_run, on by default for compatibility).
+/// index-order fold.  Every overload is an adapter over one body that
+/// takes the group form (BatchHealthScenario, the signature of
+/// campaign::StreamRunner::GroupFn).  SweepRunner is the retaining sink:
+/// Result keeps every run's registry (and health report), O(runs) memory.
+/// Campaign-scale callers use campaign::CampaignEngine, which streams.
 ///
 /// Batched execution: with SweepOptions::batch = N, runs are tiled into
 /// ceil(runs / N) contiguous lane groups and a BatchScenario advances each
@@ -48,23 +48,6 @@ struct SweepOptions {
   /// run per item (the scalar tiling).  Ignored by the scalar Scenario
   /// overloads.
   std::size_t batch = 1;
-  /// Reorder window in runs for the streaming fold (0 = auto); bounds
-  /// buffered out-of-order state.  See campaign::StreamOptions::window.
-  std::size_t window = 0;
-  /// Scheduler placement chunk in groups (0 = auto).
-  std::size_t chunk = 0;
-  /// Work stealing between worker deques (on by default).  Off plus
-  /// contiguous placement reproduces classic static tiling — the measured
-  /// baseline, not the shipping configuration.
-  bool stealing = true;
-  /// Contiguous (static-tiling) placement instead of the default cyclic
-  /// deal; see campaign::Placement.
-  bool contiguous = false;
-  /// Keep Result::per_run / per_run_health populated (O(runs) memory).
-  /// Campaign-scale callers turn this off and consume the merged fold.
-  bool retain_per_run = true;
-  /// Optional live progress counters shared with an observer.
-  obs::CampaignProgress* progress = nullptr;
 };
 
 class SweepRunner {
@@ -89,21 +72,20 @@ class SweepRunner {
   using BatchScenario = std::function<void(
       std::size_t first, std::span<trace::MetricsRegistry> metrics)>;
 
-  /// Batched health-aware scenario (health.size() == metrics.size()).
-  using BatchHealthScenario = std::function<void(
-      std::size_t first, std::span<trace::MetricsRegistry> metrics,
-      std::span<obs::HealthReport> health)>;
+  /// Batched health-aware scenario (health.size() == metrics.size()); the
+  /// group form every other overload adapts to.
+  using BatchHealthScenario = campaign::StreamRunner::GroupFn;
 
   explicit SweepRunner(SweepOptions options = {});
 
   struct Result {
     trace::MetricsRegistry merged;  ///< index-order fold of all runs
-    /// Populated only with SweepOptions::retain_per_run (the default).
     std::vector<trace::MetricsRegistry> per_run;
-    /// Merged health report (HealthScenario runs only): same index-order
-    /// fold, so histograms/percentiles and anomaly counts are byte-
+    /// Merged health report (health-aware overloads only): same index-
+    /// order fold, so histograms/percentiles and anomaly counts are byte-
     /// deterministic for any thread count.
     obs::HealthReport health;
+    /// Per-run health reports (health-aware overloads only).
     std::vector<obs::HealthReport> per_run_health;
     std::size_t runs = 0;
     std::size_t threads_used = 0;
@@ -114,6 +96,7 @@ class SweepRunner {
   };
 
   /// Executes \p runs scenario instances and merges their metrics.
+  /// A scenario exception propagates at any thread count.
   Result run(std::size_t runs, const Scenario& scenario) const;
 
   /// Health-aware variant: merges per-run metrics AND health reports in
@@ -131,7 +114,10 @@ class SweepRunner {
   std::size_t threads() const { return options_.threads; }
 
  private:
-  campaign::StreamOptions stream_options(std::size_t batch) const;
+  /// The one body: runs \p scenario over lane groups of \p batch runs and
+  /// folds them in index order (health too when \p with_health).
+  Result run_groups(std::size_t runs, std::size_t batch, bool with_health,
+                    const BatchHealthScenario& scenario) const;
 
   SweepOptions options_;
 };

@@ -51,40 +51,14 @@ void json_histogram(std::ostream& os, const obs::LatencyHistogram& h) {
 constexpr const char kSitePrefix[] = "fault.";
 constexpr const char kInjectedSuffix[] = ".injected";
 
-CampaignReport assemble_report(const CampaignOptions& opts,
-                               const exec::SweepRunner::Result& result) {
-  CampaignReport report;
-  report.name = opts.name;
-  report.seed = opts.seed;
-  report.runs = result.runs;
-  report.merged = result.merged;
-  report.per_run = result.per_run;
-  report.health = result.health;
-  report.per_run_health = result.per_run_health;
-  if (const auto* c = report.merged.find_counter("campaign.unrecovered")) {
-    report.unrecovered = c->value;
-  }
-  if (const auto* c = report.merged.find_counter("campaign.faults_injected")) {
-    report.faults_injected = c->value;
-  }
-  if (const auto* c =
-          report.merged.find_counter("campaign.fault_opportunities")) {
-    report.fault_opportunities = c->value;
-  }
-  for (std::size_t i = 0; i < report.per_run.size(); ++i) {
-    const auto* c = report.per_run[i].find_counter("campaign.unrecovered");
-    if (c && c->value > 0) {
-      report.unrecovered_runs.push_back(i);
-      if (i < report.per_run_health.size()) {
-        report.unrecovered_health.emplace(i, report.per_run_health[i]);
-      }
-    }
-  }
-  return report;
+std::uint64_t counter_value(const trace::MetricsRegistry& metrics,
+                            const char* name) {
+  const auto* c = metrics.find_counter(name);
+  return c != nullptr ? c->value : 0;
 }
 
-}  // namespace
-
+/// Campaign bookkeeping of one finished run: exports the injector's
+/// per-site counters and records the campaign.* markers into \p metrics.
 void finalize_run_bookkeeping(const FaultInjector& injector, bool recovered,
                               trace::MetricsRegistry& metrics) {
   injector.export_metrics(metrics);
@@ -98,56 +72,59 @@ void finalize_run_bookkeeping(const FaultInjector& injector, bool recovered,
       injector.total_opportunities();
 }
 
-CampaignReport CampaignRunner::run(const CampaignScenario& scenario) const {
-  exec::SweepRunner runner({options_.threads});
-  const CampaignOptions& opts = options_;
-  const exec::SweepRunner::Result result = runner.run(
-      opts.runs,
-      exec::SweepRunner::HealthScenario(
-          [&opts, &scenario](std::size_t index,
-                             trace::MetricsRegistry& metrics,
-                             obs::HealthReport& health) {
-            FaultInjector injector(run_seed(opts.seed, index), opts.plan);
-            RunContext ctx{index, injector.seed(), injector, metrics, health};
-            const bool recovered = scenario(ctx);
-            finalize_run_bookkeeping(injector, recovered, metrics);
-          }));
-  return assemble_report(opts, result);
+}  // namespace
+
+CampaignGroupFn campaign_group(const CampaignOptions& options,
+                               AnyCampaignScenario scenario) {
+  return [seed = options.seed, plan = options.plan,
+          scenario = std::move(scenario)](
+             std::size_t first, std::span<trace::MetricsRegistry> metrics,
+             std::span<obs::HealthReport> health) {
+    const std::size_t width = metrics.size();
+    // FaultInjector is pinned in place (non-copyable, non-movable): a
+    // deque grows without relocating the lanes already built.
+    std::deque<FaultInjector> injectors;
+    std::vector<RunContext> lanes;
+    lanes.reserve(width);
+    for (std::size_t k = 0; k < width; ++k) {
+      const std::size_t index = first + k;
+      injectors.emplace_back(CampaignRunner::run_seed(seed, index), plan);
+      lanes.push_back(RunContext{index, injectors.back().seed(),
+                                 injectors.back(), metrics[k], health[k]});
+    }
+    // std::vector<bool> is a proxy type, unusable as span<bool>.
+    auto recovered = std::make_unique<bool[]>(width);
+    if (const auto* scalar = std::get_if<CampaignScenario>(&scenario)) {
+      for (std::size_t k = 0; k < width; ++k) {
+        recovered[k] = (*scalar)(lanes[k]);
+      }
+    } else {
+      for (std::size_t k = 0; k < width; ++k) recovered[k] = true;
+      std::get<BatchCampaignScenario>(scenario)(
+          std::span<RunContext>(lanes),
+          std::span<bool>(recovered.get(), width));
+    }
+    for (std::size_t k = 0; k < width; ++k) {
+      finalize_run_bookkeeping(injectors[k], recovered[k], metrics[k]);
+    }
+  };
 }
 
-CampaignReport CampaignRunner::run(
-    const BatchCampaignScenario& scenario) const {
-  exec::SweepRunner runner({options_.threads, options_.batch});
-  const CampaignOptions& opts = options_;
-  const exec::SweepRunner::Result result = runner.run(
-      opts.runs,
-      exec::SweepRunner::BatchHealthScenario(
-          [&opts, &scenario](std::size_t first,
-                             std::span<trace::MetricsRegistry> metrics,
-                             std::span<obs::HealthReport> health) {
-            const std::size_t width = metrics.size();
-            // FaultInjector is pinned in place (non-copyable, non-movable):
-            // a deque grows without relocating the lanes already built.
-            std::deque<FaultInjector> injectors;
-            std::vector<RunContext> lanes;
-            lanes.reserve(width);
-            for (std::size_t k = 0; k < width; ++k) {
-              const std::size_t index = first + k;
-              injectors.emplace_back(run_seed(opts.seed, index), opts.plan);
-              lanes.push_back(RunContext{index, injectors.back().seed(),
-                                         injectors.back(), metrics[k],
-                                         health[k]});
-            }
-            // std::vector<bool> is a proxy type, unusable as span<bool>.
-            auto rec = std::make_unique<bool[]>(width);
-            for (std::size_t k = 0; k < width; ++k) rec[k] = true;
-            scenario(std::span<RunContext>(lanes),
-                     std::span<bool>(rec.get(), width));
-            for (std::size_t k = 0; k < width; ++k) {
-              finalize_run_bookkeeping(injectors[k], rec[k], metrics[k]);
-            }
-          }));
-  return assemble_report(opts, result);
+void CampaignReport::fold(std::size_t index,
+                          const trace::MetricsRegistry& run_metrics,
+                          const obs::HealthReport& run_health) {
+  merged.merge(run_metrics);
+  health.merge(run_health);
+  const std::uint64_t run_unrecovered =
+      counter_value(run_metrics, "campaign.unrecovered");
+  if (run_unrecovered > 0) {
+    unrecovered_runs.push_back(index);
+    unrecovered_health.emplace(index, run_health);
+  }
+  unrecovered += run_unrecovered;
+  faults_injected += counter_value(run_metrics, "campaign.faults_injected");
+  fault_opportunities +=
+      counter_value(run_metrics, "campaign.fault_opportunities");
 }
 
 std::string CampaignReport::to_json() const {
@@ -237,15 +214,9 @@ std::string CampaignReport::to_json() const {
   os << ",\"unrecovered_dumps\":[";
   first = true;
   for (std::size_t index : unrecovered_runs) {
-    const obs::HealthReport* hr = nullptr;
-    if (auto hit = unrecovered_health.find(index);
-        hit != unrecovered_health.end()) {
-      hr = &hit->second;
-    } else if (index < per_run_health.size()) {
-      hr = &per_run_health[index];
-    }
-    if (hr == nullptr) continue;
-    for (const auto& dump : hr->dumps) {
+    const auto hit = unrecovered_health.find(index);
+    if (hit == unrecovered_health.end()) continue;
+    for (const auto& dump : hit->second.dumps) {
       if (!first) os << ",";
       first = false;
       os << "\n{\"run\":" << index << ",\"trigger\":\""

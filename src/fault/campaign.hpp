@@ -1,10 +1,13 @@
 /// \file campaign.hpp
 /// Deterministic fault campaigns: N independent runs of one scenario, each
-/// with its own FaultInjector seeded from (campaign seed, run index), fanned
-/// out over exec::SweepRunner and merged in index order — the campaign
-/// report (per-site fault counts, IAE degradation, recovery-latency
-/// percentiles, flight-recorder dumps of unrecovered runs) is byte-identical
-/// for any thread count.
+/// with its own FaultInjector seeded from (campaign seed, run index).  This
+/// file holds the two campaign rules every runner shares — how one run is
+/// seeded, executed and booked (campaign_group) and how finished runs fold
+/// into a CampaignReport (CampaignReport::fold).  campaign::CampaignEngine
+/// schedules the groups and folds them in index order, so the report
+/// (per-site fault counts, IAE degradation, recovery-latency percentiles,
+/// flight-recorder dumps of unrecovered runs) is byte-identical for any
+/// thread count.
 #pragma once
 
 #include <cstdint>
@@ -12,9 +15,9 @@
 #include <map>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
-#include "exec/sweep.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "fault/rng.hpp"
@@ -27,14 +30,14 @@ struct CampaignOptions {
   std::string name = "campaign";
   std::uint64_t seed = 1;
   std::size_t runs = 8;
-  /// Worker threads for the fan-out (see exec::SweepOptions); the merged
+  /// Worker threads for the fan-out (0 = hardware_concurrency); the merged
   /// report and JSON are identical for every value.
   std::size_t threads = 1;
-  /// Lane-batch width for the BatchCampaignScenario overload: each work
-  /// item covers up to `batch` consecutive run indices, which the scenario
-  /// advances in lockstep (src/batch/ engines).  Per-run seeding, metrics
-  /// and the merge are unchanged, so the report stays byte-identical to
-  /// the scalar campaign for every batch width and thread count.
+  /// Lane-group width: each work item covers up to `batch` consecutive
+  /// run indices, which a BatchCampaignScenario advances in lockstep
+  /// (src/batch/ engines) and a scalar scenario runs lane by lane.  Per-run
+  /// seeding, metrics and the merge are unchanged, so the report stays
+  /// byte-identical for every batch width and thread count.
   std::size_t batch = 1;
   FaultPlan plan;
 };
@@ -64,14 +67,28 @@ using CampaignScenario = std::function<bool(RunContext&)>;
 using BatchCampaignScenario =
     std::function<void(std::span<RunContext> lanes, std::span<bool> recovered)>;
 
-/// Campaign bookkeeping of one finished run: exports the injector's
-/// per-site counters and records the campaign.* markers
-/// (runs/unrecovered/faults_injected/fault_opportunities) into \p metrics.
-/// Every execution path — scalar, batched, streaming engine — funnels
-/// through this one function so per-run registries are byte-identical
-/// across all of them.
-void finalize_run_bookkeeping(const FaultInjector& injector, bool recovered,
-                              trace::MetricsRegistry& metrics);
+/// Either scenario form.
+using AnyCampaignScenario =
+    std::variant<CampaignScenario, BatchCampaignScenario>;
+
+/// The group form of a campaign: executes the lane group covering runs
+/// [first, first + metrics.size()), recording run first + k into
+/// metrics[k] / health[k].  Same signature as campaign::StreamRunner::GroupFn
+/// and exec::SweepRunner::BatchHealthScenario, so either can drive it.
+using CampaignGroupFn = std::function<void(
+    std::size_t first, std::span<trace::MetricsRegistry> metrics,
+    std::span<obs::HealthReport> health)>;
+
+/// How one campaign run is seeded, executed and booked — the only copy of
+/// that rule.  Each lane gets a FaultInjector seeded with
+/// CampaignRunner::run_seed(options.seed, index) and options.plan; a batch
+/// scenario advances the group in lockstep, a scalar one runs lane by
+/// lane.  Every finished lane then exports its injector's per-site
+/// counters and the campaign.* markers (runs/unrecovered/faults_injected/
+/// fault_opportunities) into its registry.  The returned closure owns
+/// copies of the options and the scenario and may run on any thread.
+CampaignGroupFn campaign_group(const CampaignOptions& options,
+                               AnyCampaignScenario scenario);
 
 struct CampaignReport {
   std::string name;
@@ -79,19 +96,26 @@ struct CampaignReport {
   std::size_t runs = 0;
 
   trace::MetricsRegistry merged;  ///< index-order fold of all runs
-  std::vector<trace::MetricsRegistry> per_run;
   obs::HealthReport health;       ///< same fold; "pil.recovery" percentiles
-  std::vector<obs::HealthReport> per_run_health;
 
   std::uint64_t unrecovered = 0;
   std::vector<std::size_t> unrecovered_runs;  ///< run indices, ascending
   /// Health reports of the unrecovered runs only, keyed by run index —
-  /// what to_json()'s unrecovered_dumps section reads.  The streaming
-  /// campaign engine retains just these (O(unrecovered), not O(runs));
-  /// the retained runner fills them from per_run_health.
+  /// what to_json()'s unrecovered_dumps section reads.  Retaining just
+  /// these keeps a report O(unrecovered), not O(runs).
   std::map<std::size_t, obs::HealthReport> unrecovered_health;
   std::uint64_t faults_injected = 0;
   std::uint64_t fault_opportunities = 0;
+
+  /// How a finished run folds into the report — the only copy of that
+  /// rule.  Runs must arrive in ascending index order (the
+  /// campaign::ReorderFold contract): merges the registry and health
+  /// report, retains the health of an unrecovered run, and adds the run's
+  /// campaign.* markers to the unrecovered / faults_injected /
+  /// fault_opportunities totals (so they always equal the merged
+  /// counters).
+  void fold(std::size_t index, const trace::MetricsRegistry& run_metrics,
+            const obs::HealthReport& run_health);
 
   /// Deterministic JSON artifact (CAMPAIGN_<name>.json in CI): campaign
   /// identity, per-site fault counters, scenario stats (campaign.* stats,
@@ -105,11 +129,7 @@ struct CampaignReport {
   std::string summary() const;
 };
 
-class CampaignRunner {
- public:
-  explicit CampaignRunner(CampaignOptions options)
-      : options_(std::move(options)) {}
-
+struct CampaignRunner {
   /// Seed of run \p index: a SplitMix64 hop from the campaign seed, so
   /// replaying one run in isolation (one FaultInjector with this seed)
   /// reproduces its exact fault sequence.
@@ -120,19 +140,6 @@ class CampaignRunner {
                           static_cast<std::uint64_t>(index + 1))
         .next();
   }
-
-  const CampaignOptions& options() const { return options_; }
-
-  CampaignReport run(const CampaignScenario& scenario) const;
-
-  /// Batched variant: fans lane groups of CampaignOptions::batch runs out
-  /// over the sweep pool.  When each lane reproduces the scalar scenario
-  /// bit-for-bit (the src/batch/ determinism contract), the returned
-  /// report — and its JSON artifact — is byte-identical to run(scalar).
-  CampaignReport run(const BatchCampaignScenario& scenario) const;
-
- private:
-  CampaignOptions options_;
 };
 
 }  // namespace iecd::fault

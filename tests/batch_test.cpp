@@ -12,6 +12,7 @@
 
 #include "batch/plant_batch.hpp"
 #include "batch/servo_batch.hpp"
+#include "campaign/engine.hpp"
 #include "core/case_study.hpp"
 #include "exec/sweep.hpp"
 #include "fault/campaign.hpp"
@@ -529,6 +530,13 @@ bool scalar_campaign_run(fault::RunContext& ctx, double duration) {
   return result.metrics.settled;
 }
 
+fault::CampaignReport run_campaign(const fault::CampaignOptions& options,
+                                   fault::AnyCampaignScenario scenario) {
+  campaign::EngineOptions eo;
+  eo.campaign = options;
+  return campaign::CampaignEngine(eo).run(std::move(scenario)).report;
+}
+
 TEST(CampaignBatch, BatchedMilCampaignReportByteIdenticalToScalar) {
   const double duration = 0.25;
   fault::CampaignOptions options;
@@ -540,11 +548,10 @@ TEST(CampaignBatch, BatchedMilCampaignReportByteIdenticalToScalar) {
   options.plan.torque_pulse_nm = 0.03;
   options.plan.torque_pulse_s = 0.02;
 
-  const auto scalar_report =
-      fault::CampaignRunner(options).run(
-          fault::CampaignScenario([&](fault::RunContext& ctx) {
-            return scalar_campaign_run(ctx, duration);
-          }));
+  const auto scalar_report = run_campaign(
+      options, fault::CampaignScenario([&](fault::RunContext& ctx) {
+        return scalar_campaign_run(ctx, duration);
+      }));
   const std::string want = scalar_report.to_json();
   EXPECT_EQ(scalar_report.runs, 6u);
 
@@ -575,7 +582,7 @@ TEST(CampaignBatch, BatchedMilCampaignReportByteIdenticalToScalar) {
       fault::CampaignOptions opts = options;
       opts.threads = threads;
       opts.batch = batch;
-      const auto report = fault::CampaignRunner(opts).run(batch_scenario);
+      const auto report = run_campaign(opts, batch_scenario);
       EXPECT_EQ(report.to_json(), want)
           << "threads=" << threads << " batch=" << batch;
     }

@@ -2,9 +2,11 @@
 // completion orders, work-stealing scheduler output identity across
 // thread/batch/placement configurations, checkpoint codec round-trip
 // exactness, corrupt-checkpoint rejection, config-hash sensitivity,
-// engine-vs-retained-runner report identity, and the kill-at-every-
-// checkpoint resume byte-identity suite (fork + _exit after the k-th
-// seal, resume, byte-compare report and manifest).
+// engine report identity against a committed golden across schedules,
+// evidence and checkpoints, scenario exceptions at any thread count, the
+// progress tap, and the kill-at-every-checkpoint resume byte-identity
+// suite (fork + _exit after the k-th seal, resume, byte-compare report
+// and manifest).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,8 @@
 #include "campaign/fold.hpp"
 #include "campaign/stream.hpp"
 #include "evidence/format.hpp"
+#include "evidence/hash.hpp"
+#include "exec/sweep.hpp"
 #include "fault/campaign.hpp"
 #include "fault/rng.hpp"
 #include "obs/health_report.hpp"
@@ -317,25 +322,29 @@ TEST(Checkpoint, TruncatedHealthBlobIsRejected) {
 
 CheckpointState populated_state() {
   CheckpointState s;
-  s.name = "resume_campaign";
   s.config_hash = 0xDEADBEEFCAFE1234ULL;
-  s.total_runs = 96;
   s.watermark = 48;
-  s.merged.counter("campaign.runs").increment(48);
-  s.merged.counter("campaign.unrecovered").increment(2);
+  fault::CampaignReport& r = s.report;
+  r.name = "resume_campaign";
+  r.runs = 96;
+  r.merged.counter("campaign.runs").increment(48);
+  r.merged.counter("campaign.unrecovered").increment(2);
   for (int i = 0; i < 33; ++i) {
-    s.merged.stats("campaign.cost").add(0.125 * i - 1.0);
+    r.merged.stats("campaign.cost").add(0.125 * i - 1.0);
   }
-  s.merged.gauge("campaign.last") = 0.875;
-  s.merged.series("campaign.lat").add(1.5);
-  s.merged.series("campaign.lat").add(-2.25);
-  auto& hist = s.merged.histogram("campaign.hist", 0.0, 10.0, 8);
+  r.merged.gauge("campaign.last") = 0.875;
+  r.merged.series("campaign.lat").add(1.5);
+  r.merged.series("campaign.lat").add(-2.25);
+  auto& hist = r.merged.histogram("campaign.hist", 0.0, 10.0, 8);
   for (int i = 0; i < 20; ++i) hist.add(0.6 * i);
-  s.health = populated_health();
-  s.unrecovered_runs = {11, 37};
-  s.unrecovered_health[11] = populated_health();
-  s.unrecovered_health[37] = populated_health();
-  s.unrecovered_health[37].runs = 1;
+  r.health = populated_health();
+  r.unrecovered = 2;
+  r.faults_injected = 17;
+  r.fault_opportunities = 4096;
+  r.unrecovered_runs = {11, 37};
+  r.unrecovered_health[11] = populated_health();
+  r.unrecovered_health[37] = populated_health();
+  r.unrecovered_health[37].runs = 1;
   return s;
 }
 
@@ -347,16 +356,22 @@ TEST(Checkpoint, SaveLoadRoundTripsExactly) {
 
   CheckpointState loaded;
   ASSERT_EQ(load_checkpoint(path, loaded), CheckpointStatus::kOk);
-  EXPECT_EQ(loaded.name, original.name);
+  EXPECT_EQ(loaded.report.name, original.report.name);
   EXPECT_EQ(loaded.config_hash, original.config_hash);
-  EXPECT_EQ(loaded.total_runs, original.total_runs);
+  EXPECT_EQ(loaded.report.runs, original.report.runs);
   EXPECT_EQ(loaded.watermark, original.watermark);
-  EXPECT_EQ(loaded.unrecovered_runs, original.unrecovered_runs);
-  ASSERT_EQ(loaded.unrecovered_health.size(), 2u);
+  EXPECT_EQ(loaded.report.unrecovered, original.report.unrecovered);
+  EXPECT_EQ(loaded.report.faults_injected, original.report.faults_injected);
+  EXPECT_EQ(loaded.report.fault_opportunities,
+            original.report.fault_opportunities);
+  EXPECT_EQ(loaded.report.unrecovered_runs, original.report.unrecovered_runs);
+  ASSERT_EQ(loaded.report.unrecovered_health.size(), 2u);
 
   // Metrics round-trip raw-exactly: bit-for-bit accumulator state.
-  const auto* st = loaded.merged.find_stats("campaign.cost");
-  const auto* so = original.merged.find_stats("campaign.cost");
+  const trace::MetricsRegistry& lm = loaded.report.merged;
+  const trace::MetricsRegistry& om = original.report.merged;
+  const auto* st = lm.find_stats("campaign.cost");
+  const auto* so = om.find_stats("campaign.cost");
   ASSERT_NE(st, nullptr);
   EXPECT_EQ(st->count(), so->count());
   EXPECT_EQ(st->mean(), so->mean());
@@ -364,12 +379,12 @@ TEST(Checkpoint, SaveLoadRoundTripsExactly) {
   EXPECT_EQ(st->sum(), so->sum());
   EXPECT_EQ(st->min(), so->min());
   EXPECT_EQ(st->max(), so->max());
-  ASSERT_NE(loaded.merged.find_counter("campaign.runs"), nullptr);
-  EXPECT_EQ(loaded.merged.find_counter("campaign.runs")->value, 48u);
-  ASSERT_NE(loaded.merged.find_series("campaign.lat"), nullptr);
-  EXPECT_EQ(loaded.merged.find_series("campaign.lat")->samples(),
-            original.merged.find_series("campaign.lat")->samples());
-  ASSERT_NE(loaded.merged.find_histogram("campaign.hist"), nullptr);
+  ASSERT_NE(lm.find_counter("campaign.runs"), nullptr);
+  EXPECT_EQ(lm.find_counter("campaign.runs")->value, 48u);
+  ASSERT_NE(lm.find_series("campaign.lat"), nullptr);
+  EXPECT_EQ(lm.find_series("campaign.lat")->samples(),
+            om.find_series("campaign.lat")->samples());
+  ASSERT_NE(lm.find_histogram("campaign.hist"), nullptr);
 
   // The strongest exactness check: saving the LOADED state must produce a
   // byte-identical checkpoint file (build info is deterministic).
@@ -489,33 +504,143 @@ fault::CampaignOptions engine_options(std::size_t runs, std::size_t threads,
   return o;
 }
 
-TEST(CampaignEngine, ReportMatchesRetainedRunnerByteForByte) {
-  const std::size_t kRuns = 64;
-  fault::CampaignRunner runner(engine_options(kRuns, 1, 1));
-  const std::string expected =
-      runner.run(fault::CampaignScenario(engine_scenario)).to_json();
+/// SHA-256 of the engine_test campaign's to_json() (engine_options(64, *,
+/// *), engine_scenario).  Recorded from the retained campaign runner that
+/// the engine replaced; every schedule, evidence and checkpoint setting
+/// must still reproduce it.
+constexpr char kGoldenReportSha256[] =
+    "1cc8dde4c43adf6473961855a2815bfcb9b2daa1ae3ca898b04875d496e677fb";
 
-  struct Config {
-    std::size_t threads, batch;
-    bool contiguous;
-  };
-  for (const Config& c : std::vector<Config>{
-           {1, 1, false}, {2, 1, false}, {4, 4, false}, {2, 4, true}}) {
-    const fs::path dir = scratch_dir(
-        "engine_ident_t" + std::to_string(c.threads) + "_b" +
-        std::to_string(c.batch) + (c.contiguous ? "_c" : ""));
+std::string sha256_hex(const std::string& bytes) {
+  return evidence::hex(evidence::Sha256::of(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+}
+
+/// Reference: threads 1, batch 1, nothing written to disk.
+std::string reference_report_json(std::size_t runs) {
+  EngineOptions eo;
+  eo.campaign = engine_options(runs, 1, 1);
+  return CampaignEngine(eo)
+      .run(fault::CampaignScenario(engine_scenario))
+      .report.to_json();
+}
+
+TEST(CampaignEngine, ReportMatchesGoldenAcrossSchedulesEvidenceAndCheckpoints) {
+  const std::size_t kRuns = 64;
+  const std::string expected = reference_report_json(kRuns);
+  EXPECT_EQ(sha256_hex(expected), kGoldenReportSha256) << expected;
+
+  std::string ref_manifest;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    for (std::size_t batch : {1u, 4u}) {
+      for (bool contiguous : {false, true}) {
+        for (int mode = 0; mode < 3; ++mode) {
+          // mode 0: no evidence; 1: evidence; 2: evidence + checkpoints.
+          const std::string label =
+              "t" + std::to_string(threads) + "_b" + std::to_string(batch) +
+              (contiguous ? "_c" : "") + "_m" + std::to_string(mode);
+          EngineOptions eo;
+          eo.campaign = engine_options(kRuns, threads, batch);
+          eo.contiguous = contiguous;
+          if (mode >= 1) {
+            eo.evidence_dir = scratch_dir("golden_" + label).string();
+          }
+          if (mode == 2) eo.checkpoint_every = 16;
+          CampaignEngine engine(eo);
+          EngineResult r = engine.run(fault::CampaignScenario(engine_scenario));
+          EXPECT_FALSE(r.resumed) << label;
+          EXPECT_EQ(r.report.to_json(), expected) << label;
+          EXPECT_EQ(r.checkpoints_sealed > 0, mode == 2) << label;
+          if (mode == 0) {
+            EXPECT_TRUE(r.evidence.manifest_path.empty()) << label;
+            continue;
+          }
+          EXPECT_EQ(r.evidence.runs.size(), kRuns) << label;
+          const std::string manifest = slurp(r.evidence.manifest_path);
+          if (ref_manifest.empty()) ref_manifest = manifest;
+          EXPECT_EQ(manifest, ref_manifest) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(CampaignEngine, EmptyEvidenceDirWritesNothingAndRejectsCheckpoints) {
+  const fs::path dir = scratch_dir("no_evidence");
+  const fs::path cwd = fs::current_path();
+  fs::current_path(dir);
+  EngineOptions eo;
+  eo.campaign = engine_options(8, 2, 1);
+  EngineResult r = CampaignEngine(eo).run(engine_scenario);
+  const bool wrote_anything = !fs::is_empty(".");
+  fs::current_path(cwd);
+  EXPECT_EQ(r.report.runs, 8u);
+  EXPECT_TRUE(r.evidence.runs.empty());
+  EXPECT_FALSE(wrote_anything);
+
+  eo.checkpoint_every = 4;
+  EXPECT_THROW(CampaignEngine(eo).run(engine_scenario),
+               std::invalid_argument);
+}
+
+// ------------------------------------------------- scenario exceptions
+
+constexpr std::size_t kThrowAt = 5;
+
+/// engine_scenario, except that run kThrowAt throws.
+bool throwing_scenario(fault::RunContext& ctx) {
+  if (ctx.index == kThrowAt) throw std::runtime_error("scenario failed");
+  return engine_scenario(ctx);
+}
+
+TEST(CampaignEngine, ScenarioExceptionPropagatesAtEveryThreadCount) {
+  // 256 runs: more than the auto reorder window, so with the throwing run
+  // stuck below the watermark the other workers park on the window and
+  // must be released.
+  const std::size_t kRuns = 256;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+
+    // StreamRunner: the sink never sees the throwing run or a later one.
+    std::size_t sunk_end = 0;
+    StreamRunner stream(StreamOptions{.threads = threads});
+    EXPECT_THROW(
+        stream.run(kRuns, fault::campaign_group(engine_options(kRuns, 1, 1),
+                                                throwing_scenario),
+                   [&sunk_end](GroupResult& g) {
+                     sunk_end = g.first + g.metrics.size();
+                   }),
+        std::runtime_error)
+        << label;
+    EXPECT_LE(sunk_end, kThrowAt) << label;
+
+    exec::SweepRunner sweep({.threads = threads});
+    EXPECT_THROW(sweep.run(kRuns, exec::SweepRunner::Scenario(
+                                      [](std::size_t index,
+                                         trace::MetricsRegistry&) {
+                                        if (index == kThrowAt) {
+                                          throw std::runtime_error("sweep");
+                                        }
+                                      })),
+                 std::runtime_error)
+        << label;
+
+    // Engine: no artifact is written for the throwing run or a later one.
+    const fs::path dir = scratch_dir("throw_t" + std::to_string(threads));
+    obs::CampaignProgress progress;
     EngineOptions eo;
-    eo.campaign = engine_options(kRuns, c.threads, c.batch);
+    eo.campaign = engine_options(kRuns, threads, 1);
     eo.evidence_dir = dir.string();
-    eo.write_run_artifacts = false;
-    eo.contiguous = c.contiguous;
-    CampaignEngine engine(eo);
-    EngineResult r = engine.run(fault::CampaignScenario(engine_scenario));
-    EXPECT_FALSE(r.resumed);
-    EXPECT_TRUE(r.report.per_run.empty());       // streaming: nothing retained
-    EXPECT_TRUE(r.report.per_run_health.empty());
-    EXPECT_EQ(r.report.to_json(), expected)
-        << "threads=" << c.threads << " batch=" << c.batch;
+    eo.progress = &progress;
+    EXPECT_THROW(CampaignEngine(eo).run(throwing_scenario),
+                 std::runtime_error)
+        << label;
+    EXPECT_LE(progress.snapshot().runs_completed, kThrowAt) << label;
+    for (std::size_t i = kThrowAt; i < kRuns; ++i) {
+      EXPECT_FALSE(fs::exists(dir / evidence::run_artifact_filename(i)))
+          << label << " run " << i;
+    }
+    EXPECT_FALSE(fs::exists(dir / "MANIFEST.jsonl")) << label;
   }
 }
 
@@ -637,12 +762,70 @@ TEST(CampaignEngine, ConfigMismatchDiscardsCheckpointAndStartsFresh) {
   EngineResult r = engine.run(fault::CampaignScenario(engine_scenario));
   EXPECT_FALSE(r.resumed);
 
-  fault::CampaignOptions clean = engine_options(kRuns, 1, 4);
-  clean.seed = 9999;
+  EngineOptions clean;
+  clean.campaign = engine_options(kRuns, 1, 4);
+  clean.campaign.seed = 9999;
   EXPECT_EQ(r.report.to_json(),
-            fault::CampaignRunner(clean)
-                .run(fault::CampaignScenario(engine_scenario))
-                .to_json());
+            CampaignEngine(clean).run(engine_scenario).report.to_json());
+}
+
+TEST(CampaignEngine, ProgressTapIsPassiveAndCompleteAcrossKillResume) {
+  const std::size_t kRuns = 96;
+  const std::size_t kEvery = 16;
+  auto options = [&](const fs::path& dir, obs::CampaignProgress* progress) {
+    EngineOptions eo;
+    eo.campaign = engine_options(kRuns, 2, 4);
+    eo.evidence_dir = dir.string();
+    eo.checkpoint_every = kEvery;
+    eo.progress = progress;
+    return eo;
+  };
+
+  // Tap off vs on: identical REPORT JSON and MANIFEST bytes.
+  const auto [ref_json, ref_manifest] = run_full(
+      scratch_dir("progress_off"), kRuns, 2, 4, kEvery);
+  obs::CampaignProgress progress;
+  EngineResult on =
+      CampaignEngine(options(scratch_dir("progress_on"), &progress))
+          .run(engine_scenario);
+  EXPECT_EQ(on.report.to_json(), ref_json);
+  EXPECT_EQ(slurp(on.evidence.manifest_path), ref_manifest);
+  auto snap = progress.snapshot();
+  EXPECT_EQ(snap.runs_total, kRuns);
+  EXPECT_EQ(snap.runs_completed, snap.runs_total);
+  EXPECT_EQ(snap.groups_completed, kRuns / 4);
+  EXPECT_EQ(snap.checkpoints, on.checkpoints_sealed);
+  EXPECT_GT(snap.checkpoints, 0u);
+
+  // Kill after the second seal, then resume with a fresh tap: the resumed
+  // run still ends at runs_total and counts its own seals.
+  const fs::path dir = scratch_dir("progress_resume");
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    EngineOptions eo = options(dir, nullptr);
+    std::size_t sealed = 0;
+    eo.on_checkpoint = [&sealed](const CheckpointState&) {
+      if (++sealed == 2) _exit(42);
+    };
+    CampaignEngine(eo).run(engine_scenario);
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_EQ(WEXITSTATUS(status), 42);
+
+  progress.reset();
+  EngineResult resumed =
+      CampaignEngine(options(dir, &progress)).run(engine_scenario);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.report.to_json(), ref_json);
+  EXPECT_EQ(slurp(resumed.evidence.manifest_path), ref_manifest);
+  snap = progress.snapshot();
+  EXPECT_EQ(snap.runs_total, kRuns);
+  EXPECT_EQ(snap.runs_completed, snap.runs_total);
+  EXPECT_EQ(snap.groups_completed, (kRuns - resumed.resume_start) / 4);
+  EXPECT_EQ(snap.checkpoints, resumed.checkpoints_sealed);
 }
 
 #endif  // __unix__

@@ -330,8 +330,10 @@ TEST(CosimCampaign, DefaultPlanFarmRecoversEveryRun) {
   options.runs = 4;
   options.threads = 2;
   options.plan = fault::FaultPlan::defaults();
+  campaign::EngineOptions eo;
+  eo.campaign = options;
   const fault::CampaignReport report =
-      fault::CampaignRunner(options).run(make_farm_scenario(cfg));
+      campaign::CampaignEngine(eo).run(make_farm_scenario(cfg)).report;
   EXPECT_EQ(report.unrecovered, 0u) << report.summary();
   EXPECT_GT(report.faults_injected, 0u);
   // The farm-specific sites appear in the merged per-site counters.
@@ -356,18 +358,16 @@ TEST(CosimCampaign, ReportAndEvidenceAreThreadCountInvariant) {
   std::string ref_json;
   std::string ref_manifest;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    // Runner report.
-    const fault::CampaignReport report =
-        fault::CampaignRunner(campaign_options(threads))
-            .run(make_farm_scenario(cfg));
-    // Engine report + evidence manifest.
-    const fs::path dir = scratch_dir("ident_t" + std::to_string(threads));
+    // Report without evidence, then report + evidence manifest.
     campaign::EngineOptions eo;
     eo.campaign = campaign_options(threads);
+    const fault::CampaignReport report =
+        campaign::CampaignEngine(eo).run(make_farm_scenario(cfg)).report;
+    const fs::path dir = scratch_dir("ident_t" + std::to_string(threads));
     eo.evidence_dir = dir.string();
     eo.write_run_artifacts = false;
-    campaign::CampaignEngine engine(eo);
-    const campaign::EngineResult er = engine.run(make_farm_scenario(cfg));
+    const campaign::EngineResult er =
+        campaign::CampaignEngine(eo).run(make_farm_scenario(cfg));
 
     EXPECT_EQ(report.to_json(), er.report.to_json()) << threads;
     const std::string manifest = slurp(er.evidence.manifest_path);

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/engine.hpp"
 #include "evidence/hash.hpp"
 #include "evidence/reader.hpp"
 #include "evidence/schema.hpp"
@@ -503,6 +504,14 @@ fault::CampaignOptions campaign_options(std::size_t threads) {
   return opts;
 }
 
+/// Runs the synthetic campaign through the engine, evidence into \p dir.
+CampaignEvidence record_campaign(const fs::path& dir, std::size_t threads) {
+  campaign::EngineOptions eo;
+  eo.campaign = campaign_options(threads);
+  eo.evidence_dir = dir.string();
+  return campaign::CampaignEngine(eo).run(synthetic_scenario).evidence;
+}
+
 TEST(EvidenceCampaign, ThreadInvarianceAndManifestVerify) {
   // The acceptance bar: artifacts and manifest byte-identical across
   // 1/2/8 sweep threads, and evidence_verify passes on all of them.
@@ -513,10 +522,8 @@ TEST(EvidenceCampaign, ThreadInvarianceAndManifestVerify) {
   };
   std::vector<Out> outs;
   for (std::size_t threads : {1u, 2u, 8u}) {
-    const auto opts = campaign_options(threads);
-    const auto report = fault::CampaignRunner(opts).run(synthetic_scenario);
     const fs::path dir = base / ("t" + std::to_string(threads));
-    outs.push_back({write_campaign_evidence(dir.string(), opts, report), dir});
+    outs.push_back({record_campaign(dir, threads), dir});
   }
 
   const Out& ref = outs[0];
@@ -557,9 +564,7 @@ TEST(EvidenceCampaign, ThreadInvarianceAndManifestVerify) {
 
 TEST(EvidenceCampaign, ManifestDetectsTamperedArtifact) {
   const fs::path dir = scratch_dir("tampered");
-  const auto opts = campaign_options(1);
-  const auto report = fault::CampaignRunner(opts).run(synthetic_scenario);
-  const auto ev = write_campaign_evidence(dir.string(), opts, report);
+  const auto ev = record_campaign(dir, 1);
 
   // Flip one byte of the first run artifact on disk.
   const fs::path victim = dir / ev.runs[0].filename;

@@ -10,9 +10,11 @@
 
 #include "beans/serial_bean.hpp"
 #include "blocks/math_blocks.hpp"
+#include "campaign/engine.hpp"
 #include "codegen/generator.hpp"
 #include "core/case_study.hpp"
 #include "core/model_sync.hpp"
+#include "exec/sweep.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -493,6 +495,13 @@ CampaignScenario servo_pil_scenario(double duration_s) {
   };
 }
 
+CampaignReport run_campaign(const CampaignOptions& options,
+                            AnyCampaignScenario scenario) {
+  campaign::EngineOptions eo;
+  eo.campaign = options;
+  return campaign::CampaignEngine(eo).run(std::move(scenario)).report;
+}
+
 TEST(FaultCampaignTest, ReportIsByteIdenticalAcrossThreadCounts) {
   CampaignOptions opts;
   opts.name = "thread-invariance";
@@ -501,10 +510,10 @@ TEST(FaultCampaignTest, ReportIsByteIdenticalAcrossThreadCounts) {
   opts.plan = FaultPlan::defaults();
   opts.threads = 1;
   const CampaignReport serial_report =
-      CampaignRunner(opts).run(servo_pil_scenario(0.08));
+      run_campaign(opts, servo_pil_scenario(0.08));
   opts.threads = 4;
   const CampaignReport parallel_report =
-      CampaignRunner(opts).run(servo_pil_scenario(0.08));
+      run_campaign(opts, servo_pil_scenario(0.08));
   EXPECT_GT(serial_report.faults_injected, 0u);
   EXPECT_EQ(serial_report.to_json(), parallel_report.to_json());
   EXPECT_EQ(serial_report.merged.report(), parallel_report.merged.report());
@@ -517,7 +526,7 @@ TEST(FaultCampaignTest, DefaultRatesRecoverWithBoundedDegradation) {
   clean.seed = 7;
   clean.runs = 2;
   const CampaignReport clean_report =
-      CampaignRunner(clean).run(servo_pil_scenario(0.15));
+      run_campaign(clean, servo_pil_scenario(0.15));
   EXPECT_EQ(clean_report.unrecovered, 0u);
   EXPECT_EQ(clean_report.faults_injected, 0u);
 
@@ -525,7 +534,7 @@ TEST(FaultCampaignTest, DefaultRatesRecoverWithBoundedDegradation) {
   faulty.name = "defaults";
   faulty.plan = FaultPlan::defaults();
   const CampaignReport report =
-      CampaignRunner(faulty).run(servo_pil_scenario(0.15));
+      run_campaign(faulty, servo_pil_scenario(0.15));
   EXPECT_GT(report.faults_injected, 0u);
   EXPECT_GT(report.fault_opportunities, report.faults_injected);
   EXPECT_EQ(report.unrecovered, 0u) << report.summary();
@@ -553,8 +562,12 @@ TEST(FaultCampaignTest, SingleRunReplaysInsideAndOutsideCampaign) {
   opts.seed = 13;
   opts.runs = 3;
   opts.plan = FaultPlan::defaults().scaled(2.0);
-  const CampaignReport report =
-      CampaignRunner(opts).run(servo_pil_scenario(0.06));
+  // The retaining sweep keeps every run's registry; it runs the same
+  // campaign_group the engine does.
+  const exec::SweepRunner::Result result =
+      exec::SweepRunner({.threads = 1})
+          .run(opts.runs, exec::SweepRunner::BatchHealthScenario(
+                              campaign_group(opts, servo_pil_scenario(0.06))));
 
   FaultInjector replay(CampaignRunner::run_seed(opts.seed, 2), opts.plan);
   trace::MetricsRegistry metrics;
@@ -564,7 +577,7 @@ TEST(FaultCampaignTest, SingleRunReplaysInsideAndOutsideCampaign) {
   replay.export_metrics(metrics);
   for (const auto& [name, site] : replay.sites()) {
     const auto* in_campaign =
-        report.per_run[2].find_counter("fault." + name + ".injected");
+        result.per_run[2].find_counter("fault." + name + ".injected");
     ASSERT_NE(in_campaign, nullptr) << name;
     EXPECT_EQ(in_campaign->value, site.injected()) << name;
   }

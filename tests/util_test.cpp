@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <random>
 #include <sstream>
@@ -11,7 +10,6 @@
 #include "util/small_function.hpp"
 #include "util/statistics.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace iecd::util {
 namespace {
@@ -200,31 +198,6 @@ TEST(Strings, CIdentifierChecks) {
 TEST(Strings, IndentPreservesStructure) {
   EXPECT_EQ(indent("a\nb", 2), "  a\n  b");
   EXPECT_EQ(indent("a\n\nb", 2), "  a\n\n  b");  // blank lines stay blank
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(8,
-                                 [](std::size_t i) {
-                                   if (i == 3) throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
-}
-
-TEST(ThreadPool, SubmitReturnsUsableFuture) {
-  ThreadPool pool(1);
-  std::atomic<int> x{0};
-  auto f = pool.submit([&] { x = 7; });
-  f.get();
-  EXPECT_EQ(x.load(), 7);
 }
 
 TEST(SmallFunction, SmallCapturesStayInline) {

@@ -72,11 +72,11 @@ int cmd_status(const std::string& dir) {
     case iecd::campaign::CheckpointStatus::kOk:
       std::printf("checkpoint %s: campaign \"%s\", config %016llx, "
                   "watermark %llu / %llu runs, %zu unrecovered so far\n",
-                  path.c_str(), state.name.c_str(),
+                  path.c_str(), state.report.name.c_str(),
                   static_cast<unsigned long long>(state.config_hash),
                   static_cast<unsigned long long>(state.watermark),
-                  static_cast<unsigned long long>(state.total_runs),
-                  state.unrecovered_runs.size());
+                  static_cast<unsigned long long>(state.report.runs),
+                  state.report.unrecovered_runs.size());
       return 0;
     case iecd::campaign::CheckpointStatus::kMissing:
       std::printf("no checkpoint at %s\n", path.c_str());
