@@ -1,51 +1,40 @@
 #include "batch/servo_batch.hpp"
 
-#include "batch/plant_batch.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
+#include "blocks/discrete.hpp"
+#include "model/engine.hpp"
+#include "periph/pwm.hpp"
+#include "periph/quadrature_decoder.hpp"
+#include "sim/time.hpp"
 #include "util/rk4.hpp"
 
 namespace iecd::batch {
 
+using blocks::DiscretePidBlock;
+using plant::DcMotorDynamics;
+
 namespace {
 
-std::int64_t to_ns(double seconds) {
-  return static_cast<std::int64_t>(std::llround(seconds * 1e9));
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#define IECD_RESTRICT __restrict__
-#else
-#define IECD_RESTRICT
-#endif
-
-/// Batched DcMotorDynamics::derivatives — the expressions match
-/// plant/dc_motor.cpp token for token, evaluated lane-adjacent so the
-/// compiler turns them into packed arithmetic.  W > 0 instantiates an
-/// explicit compile-time width (the common SIMD group sizes get fully
-/// unrolled vector bodies with no trip-count checks); W == 0 is the
-/// portable any-width fallback the remainder group uses.
-template <int W>
-void motor_derivs(std::size_t n, const double* IECD_RESTRICT yi,
-                  const double* IECD_RESTRICT yw,
-                  const double* IECD_RESTRICT volt,
-                  const double* IECD_RESTRICT tau,
-                  const double* IECD_RESTRICT res,
-                  const double* IECD_RESTRICT ind,
-                  const double* IECD_RESTRICT kt,
-                  const double* IECD_RESTRICT ke,
-                  const double* IECD_RESTRICT inertia,
-                  const double* IECD_RESTRICT damping,
-                  double* IECD_RESTRICT di, double* IECD_RESTRICT dw,
-                  double* IECD_RESTRICT dth) {
-  const std::size_t count = W > 0 ? static_cast<std::size_t>(W) : n;
-  for (std::size_t l = 0; l < count; ++l) {
-    di[l] = (volt[l] - res[l] * yi[l] - ke[l] * yw[l]) / ind[l];
-    dw[l] = (kt[l] * yi[l] - damping[l] * yw[l] - tau[l]) / inertia[l];
+/// DcMotorDynamics::derivatives over n lanes.  The arrays never overlap;
+/// saying so with __restrict lets the compiler vectorize the loop, which
+/// reads and writes too many arrays for its runtime overlap checks.
+void motor_slopes(std::size_t n, const double* __restrict yi,
+                  const double* __restrict yw, const double* __restrict volt,
+                  const double* __restrict tau, const double* __restrict res,
+                  const double* __restrict ind, const double* __restrict kt,
+                  const double* __restrict ke,
+                  const double* __restrict inertia,
+                  const double* __restrict damping, double* __restrict di,
+                  double* __restrict dw, double* __restrict dth) {
+  for (std::size_t l = 0; l < n; ++l) {
+    di[l] = DcMotorDynamics::current_slope(volt[l], yi[l], yw[l], res[l],
+                                           ke[l], ind[l]);
+    dw[l] = DcMotorDynamics::speed_slope(yi[l], yw[l], tau[l], kt[l],
+                                         damping[l], inertia[l]);
     dth[l] = yw[l];
   }
 }
@@ -64,8 +53,8 @@ ServoBatch::ServoBatch(ServoBatchConfig config,
   if (!(config_.period_s > 0.0)) {
     throw std::invalid_argument("ServoBatch: period_s > 0");
   }
-  base_period_ns_ = to_ns(config_.period_s);
-  base_period_ = static_cast<double>(base_period_ns_) * 1e-9;
+  base_period_ns_ = sim::from_seconds(config_.period_s);
+  base_period_ = sim::to_seconds(base_period_ns_);
   const double cpr = static_cast<double>(config_.encoder_lines * 4);
   cpr_ = cpr;
   gain_ = 2.0 * std::numbers::pi / (cpr * config_.period_s);
@@ -145,7 +134,7 @@ ServoBatch::ServoBatch(ServoBatchConfig config,
   // Reserve the recording arrays for the full run (the engine's stop test
   // decides the exact major count; +2 covers the boundary).
   std::size_t majors = 0;
-  while (static_cast<double>(majors) * base_period_ * 1.0 < stop_max &&
+  while (model::Engine::grid_time(majors, base_period_ns_) < stop_max &&
          majors < (1u << 30)) {
     ++majors;
   }
@@ -157,8 +146,7 @@ ServoBatch::ServoBatch(ServoBatchConfig config,
 
 bool ServoBatch::step() {
   if (remaining_ == 0) return false;
-  const double t = static_cast<double>(major_) *
-                   static_cast<double>(base_period_ns_) * 1e-9;
+  const double t = model::Engine::grid_time(major_, base_period_ns_);
   // Engine stop test, per lane: a lane whose stop time arrived finishes
   // early and is masked out of the bookkeeping; the instruction stream
   // keeps full width.
@@ -189,27 +177,28 @@ void ServoBatch::controller_and_record(double t) {
 
   // Quadrature-decoder position latch (QuadDecPeBlock, MIL).
   if (config_.hw_fidelity) {
-    qdec_latch_lanes(theta_, cpr_, cnt_);
+    for (std::size_t l = 0; l < w; ++l) {
+      cnt_[l] = static_cast<double>(periph::latch_counts(theta_[l], cpr_));
+    }
   } else {
     // Ablation: exact fractional counts, no wrap, no quantization.
     for (std::size_t l = 0; l < w; ++l) {
-      cnt_[l] = theta_[l] / (2.0 * std::numbers::pi) * cpr_;
+      cnt_[l] = periph::ideal_counts(theta_[l], cpr_);
     }
   }
 
   // Wrapped 16-bit count difference (cnt_diff FunctionBlock), speed
   // scaling (spd_gain GainBlock).
   for (std::size_t l = 0; l < w; ++l) {
-    spd_[l] = gain_ * std::remainder(cnt_[l] - prev_cnt_[l], 65536.0);
+    spd_[l] = gain_ * periph::count_delta(cnt_[l], prev_cnt_[l]);
   }
 
   // Moving-average filter output: current sample plus the window,
   // newest to oldest (MovingAverageBlock::output's accumulation order).
   for (std::size_t l = 0; l < w; ++l) filt_[l] = spd_[l];
   for (std::size_t k = 0; k < window_len_; ++k) {
-    const double* IECD_RESTRICT row = window_.data() + k * w;
-    double* IECD_RESTRICT acc = filt_.data();
-    for (std::size_t l = 0; l < w; ++l) acc[l] += row[l];
+    const double* row = window_.data() + k * w;
+    for (std::size_t l = 0; l < w; ++l) filt_[l] += row[l];
   }
   const double inv_count = static_cast<double>(window_len_ + 1);
   for (std::size_t l = 0; l < w; ++l) filt_[l] = filt_[l] / inv_count;
@@ -223,16 +212,19 @@ void ServoBatch::controller_and_record(double t) {
     acc += 0.0;  // keyboard set-point offset: no key events in MIL
     acc -= filt_[l];
     err_[l] = acc;
-    const double unsat = kp_[l] * acc + integral_[l] + 0.0;
+    const double unsat =
+        DiscretePidBlock::output_law(kp_[l], acc, integral_[l], 0.0);
     unsat_[l] = unsat;
-    sat_[l] = unsat < 0.0 ? 0.0 : (1.0 < unsat ? 1.0 : unsat);
+    sat_[l] = std::clamp(unsat, 0.0, 1.0);
   }
 
   // Mode switch: the chart stays in "automatic" (out 1.0 >= 0.5) without
   // key events, so the PWM sees the PI output.  PWM duty latch
   // (PwmPeBlock::quantize_duty).
   if (config_.hw_fidelity) {
-    pwm_latch_lanes(sat_, config_.pwm_modulo, duty_);
+    for (std::size_t l = 0; l < w; ++l) {
+      duty_[l] = periph::quantize_duty(sat_[l], config_.pwm_modulo);
+    }
   } else {
     for (std::size_t l = 0; l < w; ++l) duty_[l] = sat_[l];  // ideal actuator
   }
@@ -240,8 +232,6 @@ void ServoBatch::controller_and_record(double t) {
   // Scopes (discrete, one sample per major step): speed before this
   // step's integration, duty as just computed.
   times_.push_back(t);
-  const std::size_t base = times_.size() - 1;
-  (void)base;
   speed_hist_.insert(speed_hist_.end(), omega_.begin(), omega_.end());
   duty_hist_.insert(duty_hist_.end(), duty_.begin(), duty_.end());
   for (std::size_t l = 0; l < w; ++l) {
@@ -267,8 +257,8 @@ void ServoBatch::controller_and_record(double t) {
 
   const double T = config_.period_s;
   for (std::size_t l = 0; l < w; ++l) {
-    const double aw = (sat_[l] - unsat_[l]) / std::max(kp_[l], 1e-9);
-    integral_[l] += ki_[l] * T * (err_[l] + aw);
+    integral_[l] = DiscretePidBlock::integrator_update(
+        integral_[l], kp_[l], ki_[l], T, err_[l], sat_[l], unsat_[l]);
   }
 }
 
@@ -288,22 +278,10 @@ void ServoBatch::integrate(double t0) {
         tau_[l] = load_[l] ? load_[l](ts, yw[l]) : 0.0;
       }
     }
-    const double* pi = yi.data();
-    const double* pw = yw.data();
-    // Explicit-width kernels for the common SIMD group sizes; any other
-    // width takes the portable runtime-count loop.
-    auto call = [&](auto width_tag) {
-      motor_derivs<decltype(width_tag)::value>(
-          w, pi, pw, volt_.data(), tau_.data(), res_.data(), ind_.data(),
-          kt_.data(), ke_.data(), inertia_.data(), damping_.data(),
-          k[0].data(), k[1].data(), k[2].data());
-    };
-    switch (w) {
-      case 4: call(std::integral_constant<int, 4>{}); break;
-      case 8: call(std::integral_constant<int, 8>{}); break;
-      case 16: call(std::integral_constant<int, 16>{}); break;
-      default: call(std::integral_constant<int, 0>{}); break;
-    }
+    motor_slopes(w, yi.data(), yw.data(), volt_.data(), tau_.data(),
+                 res_.data(), ind_.data(), kt_.data(), ke_.data(),
+                 inertia_.data(), damping_.data(), k[0].data(), k[1].data(),
+                 k[2].data());
   };
 
   for (int m = 0; m < config_.minor_steps; ++m) {

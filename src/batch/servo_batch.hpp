@@ -8,15 +8,18 @@
 ///
 /// Determinism contract (locked by tests/batch_test.cpp): every lane is
 /// bit-identical to the scalar engine running the same configuration.
-/// ServoBatch replicates the engine's arithmetic expression for expression
-/// — the major-step time grid double(k) * double(period_ns) * 1e-9, the
-/// stop test t >= stop - 1e-12, the block evaluation formulas, and the
-/// shared RK4 stage/combination loops (util/rk4.hpp) — so batch width,
-/// lane position and remainder grouping never change a trajectory, a
-/// metric, or a downstream evidence artifact.  Lanes never interact:
-/// per-lane divergence (saturation, early finish, a non-finite fault) is
-/// handled by masking the lane's bookkeeping, never by branching the
-/// shared instruction stream.
+/// ServoBatch calls the scalar code's own inline formulas in its lane
+/// loops — the major-step time grid (model::Engine::grid_time), the DC
+/// motor slopes (plant::DcMotorDynamics), the decoder latch, count delta
+/// and PWM duty quantization (periph/), the PI output law and anti-windup
+/// integrator (blocks::DiscretePidBlock), and the shared RK4
+/// stage/combination loops (util/rk4.hpp) — so batch width, lane position
+/// and remainder grouping never change a trajectory, a metric, or a
+/// downstream evidence artifact.  What it owns is the hand-wired servo
+/// topology, the SoA layout, the moving-average window rows and the lane
+/// masks.  Lanes never interact: per-lane divergence (saturation, early
+/// finish, a non-finite fault) is handled by masking the lane's
+/// bookkeeping, never by branching the shared instruction stream.
 ///
 /// Scope: the MIL loop with no operator key events (the stimulus
 /// run_mil() drives: mode chart in "automatic", keyboard set-point offset

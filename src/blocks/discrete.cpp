@@ -256,7 +256,7 @@ void DiscretePidBlock::output(const SimContext& ctx) {
       gains_.kd > 0
           ? n * (gains_.kd * e - deriv_state_) / (1.0 + n * T)
           : 0.0;
-  unsat_ = gains_.kp * e + integral_ + d;
+  unsat_ = output_law(gains_.kp, e, integral_, d);
   sat_ = std::clamp(unsat_, out_min_, out_max_);
   set_out(0, sat_);
 }
@@ -264,10 +264,8 @@ void DiscretePidBlock::output(const SimContext& ctx) {
 void DiscretePidBlock::update(const SimContext& ctx) {
   const double T = resolved_period() > 0 ? resolved_period() : ctx.dt;
   const double e = in(0);
-  // Back-calculation anti-windup: bleed the integrator toward the saturated
-  // output when the actuator limits.
-  const double aw = (sat_ - unsat_) / std::max(gains_.kp, 1e-9);
-  integral_ += gains_.ki * T * (e + aw);
+  integral_ =
+      integrator_update(integral_, gains_.kp, gains_.ki, T, e, sat_, unsat_);
   if (gains_.kd > 0) {
     const double n = gains_.derivative_filter;
     const double d = n * (gains_.kd * e - deriv_state_) / (1.0 + n * T);

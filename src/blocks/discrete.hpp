@@ -3,6 +3,7 @@
 /// function, PID — the controller-side vocabulary of the case study.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <vector>
 
@@ -123,6 +124,22 @@ class DiscretePidBlock : public Block {
   std::string emit_c(const EmitContext& ctx) const override;
 
   const Gains& gains() const { return gains_; }
+
+  /// Output law before saturation: kp*e + integral + d, where d is the
+  /// filtered derivative term (0 for a PI).
+  static double output_law(double kp, double e, double integral, double d) {
+    return kp * e + integral + d;
+  }
+
+  /// Integrator after one period \p T with back-calculation anti-windup:
+  /// the integrator bleeds toward the saturated output \p sat when the
+  /// actuator limits the unsaturated command \p unsat.
+  static double integrator_update(double integral, double kp, double ki,
+                                  double T, double e, double sat,
+                                  double unsat) {
+    const double aw = (sat - unsat) / std::max(kp, 1e-9);
+    return integral + ki * T * (e + aw);
+  }
 
  private:
   Gains gains_;

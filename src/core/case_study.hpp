@@ -156,7 +156,7 @@ class ServoSystem {
     fault::FaultInjector* faults = nullptr;
     /// Timeout/retransmit recovery for the exchange protocol
     /// (HostEndpoint::Recovery); disabled by default.
-    pil::HostEndpoint::Recovery recovery;
+    pil::HostEndpoint::Recovery recovery{};
   };
   struct PilResult {
     model::SampleLog speed;

@@ -6,8 +6,10 @@
 #include <numbers>
 #include <optional>
 
+#include "blocks/discrete.hpp"
 #include "cosim/master.hpp"
 #include "cosim/nodes.hpp"
+#include "periph/quadrature_decoder.hpp"
 #include "util/statistics.hpp"
 
 namespace iecd::core {
@@ -132,7 +134,7 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
     const double counts = static_cast<double>(pos);
     double speed = 0.0;
     if (have_prev) {
-      speed = std::remainder(counts - prev_counts, 65536.0) * speed_gain;
+      speed = periph::count_delta(counts, prev_counts) * speed_gain;
     }
     prev_counts = counts;
     have_prev = true;
@@ -143,11 +145,13 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
     const double t = sim::to_seconds(ctrl_world.now());
     const double sp = t >= config.setpoint_time ? config.setpoint : 0.0;
     const double error = sp - smoothed;
-    const double unsat = config.kp * error + integral;
+    // The single-node PI's output law and anti-windup integrator.
+    const double unsat =
+        blocks::DiscretePidBlock::output_law(config.kp, error, integral, 0.0);
     duty_cmd = std::clamp(unsat, 0.0, 1.0);
-    // Back-calculation anti-windup, as in the single-node PI.
-    integral += config.ki * config.period_s *
-                (error + (duty_cmd - unsat) / std::max(config.kp, 1e-9));
+    integral = blocks::DiscretePidBlock::integrator_update(
+        integral, config.kp, config.ki, config.period_s, error, duty_cmd,
+        unsat);
     return 900;  // speed estimate + PI in software floating point
   };
   ctrl_rx.commit = [&] {
@@ -221,13 +225,10 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   // --- Probe + run ----------------------------------------------------
   DistributedResult result;
   const sim::SimTime period = sim::from_seconds(config.period_s);
-  auto probe = std::make_shared<std::function<void()>>();
-  *probe = [&rig_world, &motor, &result, period, probe] {
+  rig_world.queue().schedule_every(period, [&rig_world, &motor, &result] {
     result.speed.record(sim::to_seconds(rig_world.now()),
                         motor.speed_at(rig_world.now()));
-    rig_world.queue().schedule_in(period, *probe);
-  };
-  rig_world.queue().schedule_in(period, *probe);
+  });
 
   timer.Enable();
 

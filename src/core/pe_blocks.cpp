@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
+#include "periph/pwm.hpp"
+#include "periph/quadrature_decoder.hpp"
 #include "util/strings.hpp"
 
 namespace iecd::core {
@@ -120,11 +121,7 @@ PwmPeBlock::PwmPeBlock(std::string name, beans::PwmBean& bean)
     : PeBlock(std::move(name), 1, 1, bean), pwm_(&bean) {}
 
 double PwmPeBlock::quantize_duty(double ratio) const {
-  const auto modulo = pwm_->properties().get_int("modulo");
-  const double clamped = std::clamp(ratio, 0.0, 1.0);
-  if (modulo <= 0) return clamped;  // not validated yet: pass through
-  const double steps = static_cast<double>(modulo);
-  return std::round(clamped * steps) / steps;
+  return periph::quantize_duty(ratio, pwm_->properties().get_int("modulo"));
 }
 
 void PwmPeBlock::output(const model::SimContext& ctx) {
@@ -178,12 +175,8 @@ QuadDecPeBlock::QuadDecPeBlock(std::string name, beans::QuadDecBean& bean)
 }
 
 std::int16_t QuadDecPeBlock::angle_to_counts(double angle_rad) const {
-  const double cpr = static_cast<double>(qdec_->counts_per_rev());
-  const double counts =
-      std::floor(angle_rad / (2.0 * std::numbers::pi) * cpr);
-  // 16-bit wraparound exactly like the hardware position register.
-  const auto wide = static_cast<std::int64_t>(counts);
-  return static_cast<std::int16_t>(static_cast<std::uint16_t>(wide & 0xFFFF));
+  return periph::latch_counts(angle_rad,
+                              static_cast<double>(qdec_->counts_per_rev()));
 }
 
 void QuadDecPeBlock::output(const model::SimContext& ctx) {
@@ -191,8 +184,8 @@ void QuadDecPeBlock::output(const model::SimContext& ctx) {
     case IoMode::kMil:
       if (!hw_fidelity_) {
         // Ablation: exact fractional counts, no wrap, no quantization.
-        const double cpr = static_cast<double>(qdec_->counts_per_rev());
-        set_out(0, in(0) / (2.0 * std::numbers::pi) * cpr);
+        set_out(0, periph::ideal_counts(
+                       in(0), static_cast<double>(qdec_->counts_per_rev())));
         break;
       }
       if (!ctx.minor) latched_ = angle_to_counts(in(0));

@@ -5,10 +5,14 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "blocks/discrete.hpp"
 #include "mcu/derivative.hpp"
+#include "periph/quadrature_decoder.hpp"
 #include "util/diagnostics.hpp"
 
 namespace iecd::cosim {
+
+using blocks::DiscretePidBlock;
 
 namespace {
 
@@ -78,7 +82,7 @@ ServoNode::ServoNode(std::string name, std::size_t index,
     const double counts = static_cast<double>(pos);
     double speed = 0.0;
     if (have_prev_) {
-      speed = std::remainder(counts - prev_counts_, 65536.0) * speed_gain_;
+      speed = periph::count_delta(counts, prev_counts_) * speed_gain_;
     }
     prev_counts_ = counts;
     have_prev_ = true;
@@ -87,10 +91,11 @@ ServoNode::ServoNode(std::string name, std::size_t index,
     smoothed_ = (filt_[0] + filt_[1] + filt_[2] + filt_[3]) / 4.0;
 
     const double error = setpoint_ - smoothed_;
-    const double unsat = config_.kp * error + integral_;
+    const double unsat =
+        DiscretePidBlock::output_law(config_.kp, error, integral_, 0.0);
     duty_cmd_ = std::clamp(unsat, 0.0, 1.0);
-    integral_ += config_.ki * period_s_ *
-                 (error + (duty_cmd_ - unsat) / std::max(config_.kp, 1e-9));
+    integral_ = DiscretePidBlock::integrator_update(
+        integral_, config_.kp, config_.ki, period_s_, error, duty_cmd_, unsat);
     return 900;  // read + speed estimate + PI, software floating point
   };
   tick.commit = [this] {

@@ -4,19 +4,12 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "sim/time.hpp"
 #include "trace/trace.hpp"
 #include "util/rk4.hpp"
 #include "util/strings.hpp"
 
 namespace iecd::model {
-
-namespace {
-
-std::int64_t to_ns(double seconds) {
-  return static_cast<std::int64_t>(std::llround(seconds * 1e9));
-}
-
-}  // namespace
 
 Engine::Engine(Model& model, EngineOptions options)
     : model_(model), options_(options) {
@@ -35,21 +28,23 @@ void Engine::resolve_sample_times() {
       if (!(st.period > 0)) {
         throw std::logic_error(b->name() + ": discrete period must be > 0");
       }
-      gcd_ns = std::gcd(gcd_ns, to_ns(st.period));
-      if (st.offset > 0) gcd_ns = std::gcd(gcd_ns, to_ns(st.offset));
+      gcd_ns = std::gcd(gcd_ns, sim::from_seconds(st.period));
+      if (st.offset > 0) {
+        gcd_ns = std::gcd(gcd_ns, sim::from_seconds(st.offset));
+      }
     }
   }
   if (options_.base_period > 0) {
-    const std::int64_t opt_ns = to_ns(options_.base_period);
+    const std::int64_t opt_ns = sim::from_seconds(options_.base_period);
     if (gcd_ns != 0 && gcd_ns % opt_ns != 0 && opt_ns % gcd_ns != 0) {
       throw std::logic_error(
           "Engine: base_period incompatible with block rates");
     }
     gcd_ns = gcd_ns == 0 ? opt_ns : std::gcd(gcd_ns, opt_ns);
   }
-  if (gcd_ns == 0) gcd_ns = to_ns(1e-3);
+  if (gcd_ns == 0) gcd_ns = sim::from_seconds(1e-3);
   base_period_ns_ = gcd_ns;
-  base_period_ = static_cast<double>(gcd_ns) * 1e-9;
+  base_period_ = sim::to_seconds(gcd_ns);
 
   // Inheritance propagation in sorted order: a block with an inherited rate
   // becomes continuous if any of its drivers is continuous, otherwise it
@@ -79,7 +74,7 @@ void Engine::resolve_sample_times() {
       }
     }
     if (!b->resolved_continuous()) {
-      const std::int64_t p_ns = to_ns(b->resolved_period());
+      const std::int64_t p_ns = sim::from_seconds(b->resolved_period());
       if (p_ns % base_period_ns_ != 0) {
         throw std::logic_error(util::format(
             "%s: period %.9g s is not a multiple of the base period %.9g s",
@@ -136,11 +131,11 @@ void Engine::build_exec_list() {
     if (!b->resolved_continuous()) {
       // Divisibility was validated in resolve_sample_times(); a block whose
       // rate was never resolved (graph edited mid-run) runs at base rate.
-      const std::int64_t p_ns = to_ns(b->resolved_period());
+      const std::int64_t p_ns = sim::from_seconds(b->resolved_period());
       e.period_ticks =
           p_ns > 0 ? static_cast<std::uint64_t>(p_ns / base_period_ns_) : 1;
       if (e.period_ticks == 0) e.period_ticks = 1;
-      const std::int64_t o_ns = to_ns(b->sample_time().offset);
+      const std::int64_t o_ns = sim::from_seconds(b->sample_time().offset);
       e.offset_ticks =
           o_ns > 0 ? static_cast<std::uint64_t>(o_ns / base_period_ns_) : 0;
     }
@@ -150,8 +145,7 @@ void Engine::build_exec_list() {
 }
 
 double Engine::time() const {
-  return static_cast<double>(major_index_) *
-         static_cast<double>(base_period_ns_) * 1e-9;
+  return grid_time(major_index_, base_period_ns_);
 }
 
 void Engine::eval_derivatives(double t, std::vector<double>& candidate,

@@ -38,6 +38,14 @@ class Engine {
 
   double time() const;
   double base_period() const { return base_period_; }
+
+  /// Time of major step \p major on the integer-ns grid of a base period
+  /// of \p base_period_ns: no accumulated floating-point drift.
+  static double grid_time(std::uint64_t major, std::int64_t base_period_ns) {
+    return static_cast<double>(major) * static_cast<double>(base_period_ns) *
+           1e-9;
+  }
+
   std::uint64_t major_steps() const { return major_index_; }
   bool initialized() const { return initialized_; }
 

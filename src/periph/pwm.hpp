@@ -8,6 +8,8 @@
 /// integrates) or subscribe to edge callbacks for waveform-level tests.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 
@@ -15,6 +17,16 @@
 #include "sim/zoh_signal.hpp"
 
 namespace iecd::periph {
+
+/// Duty ratio as a PWM with \p modulo counts per period can realise it:
+/// clamped to [0, 1], then rounded to the nearest whole count.  A modulo
+/// <= 0 (a bean whose timing was never solved) clamps only.
+inline double quantize_duty(double ratio, std::int64_t modulo) {
+  const double clamped = std::clamp(ratio, 0.0, 1.0);
+  if (modulo <= 0) return clamped;
+  const double steps = static_cast<double>(modulo);
+  return std::round(clamped * steps) / steps;
+}
 
 struct PwmConfig {
   std::uint32_t prescaler = 1;

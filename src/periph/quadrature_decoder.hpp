@@ -6,11 +6,36 @@
 /// lines -> 400 counts per revolution.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 
 #include "periph/peripheral.hpp"
 
 namespace iecd::periph {
+
+/// Ideal-decoder ablation: exact fractional counts of a decoder with
+/// \p cpr counts per revolution, no floor, no wrap.
+inline double ideal_counts(double angle_rad, double cpr) {
+  return angle_rad / (2.0 * std::numbers::pi) * cpr;
+}
+
+/// Latches a shaft angle into the 16-bit position register: floor to whole
+/// counts, widen to int64, keep the low 16 bits (two's-complement wrap,
+/// like the hardware).  A count outside the int64 range (a non-finite or
+/// blown-up angle) latches 0 instead of an undefined float->int conversion.
+inline std::int16_t latch_counts(double angle_rad, double cpr) {
+  const double counts = std::floor(ideal_counts(angle_rad, cpr));
+  if (!(counts >= -0x1p63 && counts < 0x1p63)) return 0;
+  const auto wide = static_cast<std::int64_t>(counts);
+  return static_cast<std::int16_t>(static_cast<std::uint16_t>(wide & 0xFFFF));
+}
+
+/// Count change between two register samples, unwrapped across the 16-bit
+/// rollover: the difference taken modulo 2^16 into [-32768, 32768].
+inline double count_delta(double counts, double prev_counts) {
+  return std::remainder(counts - prev_counts, 65536.0);
+}
 
 struct QuadDecConfig {
   bool clear_on_index = false;      ///< reset position at the index pulse

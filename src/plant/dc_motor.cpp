@@ -11,9 +11,10 @@ void DcMotorDynamics::derivatives(const double state[3], double voltage,
                                   double load_torque, double dx[3]) const {
   const double i = state[0];
   const double w = state[1];
-  dx[0] = (voltage - params.resistance * i - params.ke * w) /
-          params.inductance;
-  dx[1] = (params.kt * i - params.damping * w - load_torque) / params.inertia;
+  dx[0] = current_slope(voltage, i, w, params.resistance, params.ke,
+                        params.inductance);
+  dx[1] = speed_slope(i, w, load_torque, params.kt, params.damping,
+                      params.inertia);
   dx[2] = w;
 }
 

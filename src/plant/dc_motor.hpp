@@ -36,6 +36,19 @@ using LoadTorque = std::function<double(double t, double omega)>;
 struct DcMotorDynamics {
   DcMotorParams params;
 
+  /// Armature current slope di/dt = (u - R i - Ke w) / L.
+  static double current_slope(double voltage, double current, double omega,
+                              double resistance, double ke,
+                              double inductance) {
+    return (voltage - resistance * current - ke * omega) / inductance;
+  }
+
+  /// Shaft acceleration dw/dt = (Kt i - b w - tau) / J.
+  static double speed_slope(double current, double omega, double load_torque,
+                            double kt, double damping, double inertia) {
+    return (kt * current - damping * omega - load_torque) / inertia;
+  }
+
   void derivatives(const double state[3], double voltage, double load_torque,
                    double dx[3]) const;
 };

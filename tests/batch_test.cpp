@@ -1,28 +1,28 @@
 // Batched SoA simulation core: the determinism contract (every lane
 // bit-identical to the scalar engine), divergence masking, the shared-RK4
-// refactor lock, the batched sweep/campaign plumbing, and the batched
-// simple plants.
+// refactor lock, the batched sweep/campaign plumbing, and the shared
+// decoder/PWM latch formulas both paths call.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numbers>
+#include <span>
 #include <vector>
 
-#include "batch/plant_batch.hpp"
 #include "batch/servo_batch.hpp"
 #include "campaign/engine.hpp"
 #include "core/case_study.hpp"
 #include "exec/sweep.hpp"
 #include "fault/campaign.hpp"
 #include "fault/sites.hpp"
-#include "model/engine.hpp"
-#include "model/model.hpp"
-#include "blocks/sinks.hpp"
-#include "blocks/sources.hpp"
+#include "periph/pwm.hpp"
+#include "periph/quadrature_decoder.hpp"
 #include "plant/dc_motor.hpp"
-#include "plant/simple_plants.hpp"
 #include "util/rk4.hpp"
 
 namespace iecd {
@@ -287,122 +287,87 @@ TEST(BatchRk4Refactor, SharedStepMatchesInlineClassicRk4) {
   }
 }
 
-// ------------------------------------------------------- batched plants
-
-TEST(PlantBatch, WaterTankLanesMatchEngine) {
-  plant::WaterTankBlock::Params params[3];
-  params[1].initial_level = 0.5;
-  params[1].inflow_gain = 0.006;
-  params[2].initial_level = 2.5;  // above the brim: raw initial recorded
-  params[2].outlet_area = 4.0e-4;
-
-  batch::PlantBatchConfig cfg;
-  cfg.duration_s = 0.5;
-  const double step_time = 0.2;
-  batch::WaterTankBatch tanks(cfg, params);
-  while (!tanks.done()) {
-    const double t = tanks.time();
-    const double valve = t >= step_time ? 1.0 : 0.0;
-    for (std::size_t l = 0; l < tanks.width(); ++l) tanks.set_input(l, valve);
-    tanks.step();
-  }
-
-  for (int k = 0; k < 3; ++k) {
-    model::Model m("tank");
-    auto& src = m.add<blocks::StepBlock>("valve", step_time, 0.0, 1.0);
-    auto& tank = m.add<plant::WaterTankBlock>("plant", params[k]);
-    auto& scope = m.add<blocks::ScopeBlock>("scope");
-    m.connect(src, 0, tank, 0);
-    m.connect(tank, 0, scope, 0);
-    model::EngineOptions opts;
-    opts.stop_time = cfg.duration_s;
-    opts.base_period = cfg.period_s;
-    opts.minor_steps = cfg.minor_steps;
-    model::Engine engine(m, opts);
-    engine.run();
-    SCOPED_TRACE(k);
-    expect_logs_identical(tanks.levels(k), scope.log(), "tank lane");
-  }
-}
-
-TEST(PlantBatch, ThermalLanesMatchEngine) {
-  plant::ThermalPlantBlock::Params params[2];
-  params[1].heater_power = 90.0;
-  params[1].ambient = 18.0;
-
-  batch::PlantBatchConfig cfg;
-  cfg.period_s = 0.01;
-  cfg.duration_s = 2.0;
-  batch::ThermalBatch plants(cfg, params);
-  while (!plants.done()) {
-    for (std::size_t l = 0; l < plants.width(); ++l) {
-      plants.set_input(l, 0.75);
-    }
-    plants.step();
-  }
-
-  for (int k = 0; k < 2; ++k) {
-    model::Model m("thermal");
-    auto& src = m.add<blocks::ConstantBlock>("heat", 0.75);
-    auto& proc = m.add<plant::ThermalPlantBlock>("plant", params[k]);
-    auto& scope = m.add<blocks::ScopeBlock>("scope");
-    m.connect(src, 0, proc, 0);
-    m.connect(proc, 0, scope, 0);
-    model::EngineOptions opts;
-    opts.stop_time = cfg.duration_s;
-    opts.base_period = cfg.period_s;
-    opts.minor_steps = cfg.minor_steps;
-    model::Engine engine(m, opts);
-    engine.run();
-    SCOPED_TRACE(k);
-    expect_logs_identical(plants.temperatures(k), scope.log(),
-                          "thermal lane");
-  }
-}
+// ------------------------------------------------- shared latch formulas
 
 TEST(PlantBatch, LatchKernelsMatchPeBlocks) {
-  beans::BeanProject project("p");
-  auto& adc_bean = project.add<beans::AdcBean>("AD1");
-  core::AdcPeBlock adc("AD1", adc_bean);
-  const auto bits_prop = adc_bean.properties().get_int("resolution_bits");
-  const double vref = adc_bean.properties().get_real("vref_high");
-
   core::ServoSystem servo(core::ServoConfig{});
   const double cpr =
       static_cast<double>(servo.config().encoder_lines * 4);
 
-  std::vector<double> angles, ratios, volts;
+  // The decoder block latches through the shared register function.
   for (int i = -40; i <= 40; ++i) {
-    angles.push_back(0.37 * i);
-    ratios.push_back(0.03 * i);
-    volts.push_back(0.09 * i);
+    const double angle = 0.37 * i;
+    EXPECT_EQ(servo.qdec_block().angle_to_counts(angle),
+              periph::latch_counts(angle, cpr));
   }
-  const std::size_t n = angles.size();
-  std::vector<double> counts(n), duty(n);
-  std::vector<std::uint16_t> codes(n);
 
-  batch::qdec_latch_lanes(angles, cpr, counts);
-  batch::adc_latch_lanes(volts, static_cast<int>(bits_prop), vref, codes);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(counts[i], static_cast<double>(
-                             servo.qdec_block().angle_to_counts(angles[i])));
-    EXPECT_EQ(codes[i], adc.quantize_volts(volts[i]));
+  // 16-bit wrap in both directions, and the count delta unwrapping it.
+  auto angle_of = [cpr](double counts) {
+    return (counts + 0.5) / cpr * (2.0 * std::numbers::pi);
+  };
+  EXPECT_EQ(periph::latch_counts(angle_of(32767), cpr), 32767);
+  EXPECT_EQ(periph::latch_counts(angle_of(32768), cpr), -32768);
+  EXPECT_EQ(periph::latch_counts(angle_of(-32768), cpr), -32768);
+  EXPECT_EQ(periph::latch_counts(angle_of(-32769), cpr), 32767);
+  EXPECT_EQ(periph::latch_counts(angle_of(65536 + 5), cpr), 5);
+  EXPECT_EQ(periph::latch_counts(angle_of(-65536 - 5), cpr), -5);
+  EXPECT_EQ(periph::count_delta(-32768.0, 32767.0), 1.0);
+  EXPECT_EQ(periph::count_delta(32767.0, -32768.0), -1.0);
+  EXPECT_EQ(periph::count_delta(5.0, -3.0), 8.0);
+
+  // Non-finite or out-of-range angles latch 0, through the block too.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double angle : {std::numeric_limits<double>::quiet_NaN(), inf, -inf,
+                       1e300, -1e300}) {
+    SCOPED_TRACE(angle);
+    EXPECT_EQ(periph::latch_counts(angle, cpr), 0);
+    EXPECT_EQ(servo.qdec_block().angle_to_counts(angle), 0);
   }
 
   // Solved-modulo path against the real PWM block (the servo constructor
   // derives the modulo from pwm_frequency_hz).
   const auto modulo = pwm_modulo_of(servo);
   ASSERT_GT(modulo, 0);
-  batch::pwm_latch_lanes(ratios, modulo, duty);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(bits(duty[i]),
-              bits(servo.pwm_block().quantize_duty(ratios[i])));
+  for (int i = -40; i <= 40; ++i) {
+    const double ratio = 0.03 * i;
+    EXPECT_EQ(bits(servo.pwm_block().quantize_duty(ratio)),
+              bits(periph::quantize_duty(ratio, modulo)));
+    // Unsolved bean (modulo <= 0): clamp-only pass-through.
+    EXPECT_EQ(bits(periph::quantize_duty(ratio, 0)),
+              bits(std::clamp(ratio, 0.0, 1.0)));
+    EXPECT_EQ(bits(periph::quantize_duty(ratio, -1)),
+              bits(std::clamp(ratio, 0.0, 1.0)));
   }
+  const double step = 1.0 / static_cast<double>(modulo);
+  EXPECT_EQ(periph::quantize_duty(0.4 * step, modulo), 0.0);
+  EXPECT_EQ(periph::quantize_duty(0.6 * step, modulo), step);
+  EXPECT_EQ(periph::quantize_duty(0.4 * step, 0), 0.4 * step);
+}
 
-  // Unsolved bean (modulo 0): clamp-only pass-through.
-  batch::pwm_latch_lanes(ratios, 0, duty);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(bits(duty[i]), bits(std::clamp(ratios[i], 0.0, 1.0)));
+TEST(PlantBatch, DivergentScalarRunLatchesZeroCounts) {
+  // Electrical time constant far below the integrator step: the motor
+  // state blows up, and the decoder latch sees non-finite and out-of-range
+  // angles.  The scalar run must complete (no undefined float->int cast)
+  // and agree with the batch lane up to the step the batch retires it.
+  core::ServoConfig cfg;
+  cfg.duration_s = 0.2;
+  cfg.motor.inductance = 1e-9;
+  core::ServoSystem servo(cfg);
+  const auto scalar = servo.run_mil();
+  ASSERT_GT(scalar.speed.size(), 0u);
+
+  const batch::ServoLane lane = lane_from(cfg);
+  batch::ServoBatch batch(batch_config_from(cfg, pwm_modulo_of(servo)),
+                          std::span(&lane, 1));
+  batch.run();
+  ASSERT_TRUE(batch.lane_faulted(0));
+  const auto got = batch.result(0);
+  ASSERT_LT(got.speed.size(), scalar.speed.size());
+  for (std::size_t i = 0; i < got.speed.size(); ++i) {
+    ASSERT_EQ(bits(got.speed.value_at(i)), bits(scalar.speed.value_at(i)))
+        << "speed sample " << i;
+    ASSERT_EQ(bits(got.duty.value_at(i)), bits(scalar.duty.value_at(i)))
+        << "duty sample " << i;
   }
 }
 

@@ -135,12 +135,16 @@ TEST(CosimMaster, AdversarialRegistrationOrdersYieldIdenticalTraces) {
       std::sort(events[c].begin(), events[c].end());
     }
 
+    auto name_of = [](std::size_t c) {
+      return std::string("c").append(std::to_string(c));
+    };
+
     // Reference: the global time-sorted merge (times are unique, so the
     // order is total and registration cannot matter).
     std::vector<std::pair<std::string, sim::SimTime>> expected;
     for (std::size_t c = 0; c < kComponents; ++c) {
       for (const sim::SimTime t : events[c]) {
-        expected.push_back({"c" + std::to_string(c), t});
+        expected.push_back({name_of(c), t});
       }
     }
     std::sort(expected.begin(), expected.end(),
@@ -153,8 +157,8 @@ TEST(CosimMaster, AdversarialRegistrationOrdersYieldIdenticalTraces) {
       std::vector<std::pair<std::string, sim::SimTime>> trace;
       std::vector<std::unique_ptr<ScriptedComponent>> comps(kComponents);
       for (std::size_t c = 0; c < kComponents; ++c) {
-        comps[c] = std::make_unique<ScriptedComponent>(
-            "c" + std::to_string(c), events[c], &trace);
+        comps[c] =
+            std::make_unique<ScriptedComponent>(name_of(c), events[c], &trace);
       }
       Master master;
       for (const std::size_t c : order) master.add(*comps[c]);
