@@ -1,5 +1,6 @@
 #include "codegen/generator.hpp"
 
+#include <memory>
 #include <stdexcept>
 
 #include "codegen/c_emitter.hpp"
@@ -90,8 +91,8 @@ GeneratedApplication Generator::generate(model::Subsystem& controller,
   app.pil_variant = options.pil;
   app.derivative = project.cpu().derivative().name;
 
-  // --- Periodic model-step task ---
-  model::Subsystem* sub = &controller;
+  // --- Periodic model-step task: the controller interior's schedule ---
+  auto schedule = std::make_shared<model::Schedule>(controller.inner());
   TaskSpec step;
   step.name = options.app_name + "_step";
   step.trigger = TaskSpec::Trigger::kPeriodic;
@@ -99,9 +100,10 @@ GeneratedApplication Generator::generate(model::Subsystem& controller,
   step.read = [inputs](const model::SimContext& ctx) {
     for (TargetIo* io : inputs) io->target_read(ctx);
   };
-  step.compute = [sub](const model::SimContext& ctx) {
-    for (model::Block* b : sub->inner().sorted()) b->output(ctx);
-    for (model::Block* b : sub->inner().sorted()) b->update(ctx);
+  step.compute = [schedule](const model::SimContext& ctx) {
+    schedule->refresh();
+    schedule->outputs(ctx);
+    schedule->updates(ctx);
   };
   step.write = [outputs](const model::SimContext& ctx) {
     for (TargetIo* io : outputs) io->target_write(ctx);

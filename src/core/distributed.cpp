@@ -3,31 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <numbers>
 #include <optional>
 
-#include "blocks/discrete.hpp"
 #include "cosim/master.hpp"
 #include "cosim/nodes.hpp"
-#include "periph/quadrature_decoder.hpp"
 #include "util/statistics.hpp"
 
 namespace iecd::core {
 
-namespace {
-
-/// Packs/unpacks the 16-bit payload fields of the demo frames.
-void put_u16(sim::CanPayload& data, std::uint16_t v) {
-  data.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  data.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-std::uint16_t get_u16(const sim::CanPayload& data, std::size_t offset) {
-  return static_cast<std::uint16_t>(data[offset] |
-                                    (data[offset + 1] << 8));
-}
-
-}  // namespace
+using cosim::get_u16;
+using cosim::put_u16;
 
 // The rig runs on the co-simulation master (src/cosim/) as a 2-component
 // topology plus background chatter:
@@ -112,15 +97,8 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   ctrl_project.bind(ctrl_mcu);
   bus.attach_controller(*ctrl_can.peripheral());  // bus node 1
 
-  const double counts_per_rev = config.encoder_lines * 4.0;
-  const double speed_gain =
-      2.0 * std::numbers::pi / (counts_per_rev * config.period_s);
-  double prev_counts = 0.0;
-  bool have_prev = false;
-  double filt[4] = {0, 0, 0, 0};
-  int filt_idx = 0;
-  double integral = 0.0;
-  double duty_cmd = 0.0;
+  cosim::ServoFirmware firmware(config.kp, config.ki, config.period_s,
+                                config.encoder_lines);
   std::uint8_t ctrl_seq = 0;
 
   mcu::IsrHandler ctrl_rx;
@@ -128,37 +106,17 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   ctrl_rx.body = [&]() -> std::uint64_t {
     const auto frame = ctrl_can.ReadFrame();
     if (!frame || frame->data.size() < 3) return 60;
-    const auto pos =
-        static_cast<std::int16_t>(get_u16(frame->data, 0));
+    const auto pos = static_cast<std::int16_t>(get_u16(frame->data, 0));
     ctrl_seq = frame->data[2];
-    const double counts = static_cast<double>(pos);
-    double speed = 0.0;
-    if (have_prev) {
-      speed = periph::count_delta(counts, prev_counts) * speed_gain;
-    }
-    prev_counts = counts;
-    have_prev = true;
-    filt[filt_idx & 3] = speed;
-    ++filt_idx;
-    const double smoothed = (filt[0] + filt[1] + filt[2] + filt[3]) / 4.0;
-
     const double t = sim::to_seconds(ctrl_world.now());
-    const double sp = t >= config.setpoint_time ? config.setpoint : 0.0;
-    const double error = sp - smoothed;
-    // The single-node PI's output law and anti-windup integrator.
-    const double unsat =
-        blocks::DiscretePidBlock::output_law(config.kp, error, integral, 0.0);
-    duty_cmd = std::clamp(unsat, 0.0, 1.0);
-    integral = blocks::DiscretePidBlock::integrator_update(
-        integral, config.kp, config.ki, config.period_s, error, duty_cmd,
-        unsat);
+    firmware.step(pos, t >= config.setpoint_time ? config.setpoint : 0.0);
     return 900;  // speed estimate + PI in software floating point
   };
   ctrl_rx.commit = [&] {
     sim::CanFrame frame;
     frame.id = DistributedConfig::kActuatorFrameId;
-    put_u16(frame.data,
-            static_cast<std::uint16_t>(std::lround(duty_cmd * 65535.0)));
+    put_u16(frame.data, static_cast<std::uint16_t>(
+                            std::lround(firmware.duty() * 65535.0)));
     frame.data.push_back(ctrl_seq);
     ctrl_can.SendFrame(frame);
   };

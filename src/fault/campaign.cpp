@@ -1,6 +1,5 @@
 #include "fault/campaign.hpp"
 
-#include <cstdio>
 #include <deque>
 #include <fstream>
 #include <memory>
@@ -12,41 +11,8 @@ namespace iecd::fault {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-void json_histogram(std::ostream& os, const obs::LatencyHistogram& h) {
-  os << "{\"n\":" << h.count() << ",\"min\":" << num(h.min())
-     << ",\"mean\":" << num(h.mean()) << ",\"p50\":" << num(h.p50())
-     << ",\"p90\":" << num(h.p90()) << ",\"p99\":" << num(h.p99())
-     << ",\"p999\":" << num(h.p999()) << ",\"max\":" << num(h.max()) << "}";
-}
+using util::json_escape;
+using util::json_number;
 
 constexpr const char kSitePrefix[] = "fault.";
 constexpr const char kInjectedSuffix[] = ".injected";
@@ -184,15 +150,16 @@ std::string CampaignReport::to_json() const {
     if (metric.compare(0, 9, "campaign.") != 0) continue;
     if (!first) os << ",";
     first = false;
-    os << "\"" << json_escape(metric) << "\":" << num(value);
+    os << "\"" << json_escape(metric) << "\":" << json_number(value);
   }
   for (const auto& [metric, stats] : merged.all_stats()) {
     if (metric.compare(0, 9, "campaign.") != 0) continue;
     if (!first) os << ",";
     first = false;
     os << "\"" << json_escape(metric) << "\":{\"n\":" << stats.count()
-       << ",\"mean\":" << num(stats.mean()) << ",\"min\":" << num(stats.min())
-       << ",\"max\":" << num(stats.max()) << "}";
+       << ",\"mean\":" << json_number(stats.mean())
+       << ",\"min\":" << json_number(stats.min())
+       << ",\"max\":" << json_number(stats.max()) << "}";
   }
   os << "}";
 
@@ -203,7 +170,7 @@ std::string CampaignReport::to_json() const {
   if (it != health.tasks.end()) {
     os << "{\"recovered\":" << it->second.activations()
        << ",\"latency_us\":";
-    json_histogram(os, it->second.response_us());
+    it->second.response_us().write_json(os);
     os << "}";
   } else {
     os << "null";
@@ -222,7 +189,7 @@ std::string CampaignReport::to_json() const {
       os << "\n{\"run\":" << index << ",\"trigger\":\""
          << json_escape(dump.trigger) << "\",\"detail\":\""
          << json_escape(dump.detail)
-         << "\",\"time_s\":" << num(sim::to_seconds(dump.time))
+         << "\",\"time_s\":" << json_number(sim::to_seconds(dump.time))
          << ",\"events\":" << dump.events.size() << "}";
     }
   }

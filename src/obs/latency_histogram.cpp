@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "util/strings.hpp"
 
@@ -113,6 +114,17 @@ std::string LatencyHistogram::summary() const {
       "n=%llu mean=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f",
       static_cast<unsigned long long>(count_), mean(), p50(), p90(), p99(),
       max());
+}
+
+void LatencyHistogram::write_json(std::ostream& os) const {
+  using util::json_number;
+  os << "{\"n\":" << count() << ",\"min\":" << json_number(min())
+     << ",\"mean\":" << json_number(mean())
+     << ",\"p50\":" << json_number(p50())
+     << ",\"p90\":" << json_number(p90())
+     << ",\"p99\":" << json_number(p99())
+     << ",\"p999\":" << json_number(p999())
+     << ",\"max\":" << json_number(max()) << "}";
 }
 
 }  // namespace iecd::obs

@@ -22,6 +22,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,10 @@ class LatencyHistogram {
 
   /// One-line summary: n, mean, p50/p90/p99/max.
   std::string summary() const;
+
+  /// The JSON object {"n","min","mean","p50","p90","p99","p999","max"}
+  /// every run/campaign report embeds (numbers via util::json_number).
+  void write_json(std::ostream& os) const;
 
  private:
   /// Bucket selection by IEEE-754 bit extraction — identical result to the

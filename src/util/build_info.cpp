@@ -1,5 +1,7 @@
 #include "util/build_info.hpp"
 
+#include "util/strings.hpp"
+
 namespace iecd::util {
 
 namespace {
@@ -24,16 +26,6 @@ std::string compiler_id() {
 #endif
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
 const BuildInfo& build_info() {
@@ -44,9 +36,9 @@ const BuildInfo& build_info() {
 
 std::string build_info_json() {
   const BuildInfo& b = build_info();
-  return "{\"git_sha\":\"" + escape(b.git_sha) + "\",\"compiler\":\"" +
-         escape(b.compiler) + "\",\"flags\":\"" + escape(b.flags) +
-         "\",\"build_type\":\"" + escape(b.build_type) + "\"}";
+  return "{\"git_sha\":\"" + json_escape(b.git_sha) + "\",\"compiler\":\"" +
+         json_escape(b.compiler) + "\",\"flags\":\"" + json_escape(b.flags) +
+         "\",\"build_type\":\"" + json_escape(b.build_type) + "\"}";
 }
 
 }  // namespace iecd::util

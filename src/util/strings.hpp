@@ -1,6 +1,6 @@
 /// \file strings.hpp
 /// Small string helpers shared across modules (identifier checks for
-/// generated C code, joining, printf-style formatting).
+/// generated C code, joining, printf-style formatting, JSON scalars).
 #pragma once
 
 #include <cstdarg>
@@ -24,5 +24,13 @@ std::string sanitize_c_identifier(const std::string& s);
 
 /// Indents every line of \p text by \p spaces spaces.
 std::string indent(const std::string& text, int spaces);
+
+/// Escapes \p s for the inside of a JSON string literal: quote, backslash,
+/// \n \r \t, and every other control character as \u00XX.
+std::string json_escape(const std::string& s);
+
+/// A JSON number with 9 significant digits ("%.9g"): the one deterministic
+/// spelling every JSON report in the tree uses.
+std::string json_number(double v);
 
 }  // namespace iecd::util

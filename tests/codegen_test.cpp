@@ -10,6 +10,7 @@
 #include "core/model_sync.hpp"
 #include "core/pe_blocks.hpp"
 #include "mcu/derivative.hpp"
+#include "model/engine.hpp"
 #include "model/subsystem.hpp"
 #include "pil/frame.hpp"
 
@@ -184,6 +185,51 @@ TEST(Generator, FixedPointChangesCostProfile) {
   const auto& dsc = mcu::find_derivative("DSC56F8367");
   EXPECT_LT(app_fx.task_cycles(0, dsc.costs),
             app_fl.task_cycles(0, dsc.costs));
+}
+
+TEST(Generator, NestedSubsystemTaskMatchesMil) {
+  // A nested atomic subsystem inside the controller executes the same way
+  // in the generated periodic task as in MIL.
+  model::Model top{"top"};
+  auto& ctrl = top.add<model::Subsystem>("ctrl", 0, 1);
+  ctrl.set_sample_time(model::SampleTime::discrete(0.001));
+  beans::BeanProject project("p");
+  project.add<beans::TimerIntBean>("TI1");
+  auto& c = ctrl.inner().add<blocks::ConstantBlock>("c", 0.5);
+  auto& nested = ctrl.inner().add<model::Subsystem>("nested", 1, 1);
+  auto& out = ctrl.inner().add<model::Outport>("out");
+  {
+    model::Model& n = nested.inner();
+    auto& in = n.add<model::Inport>("in");
+    auto& acc = n.add<blocks::DiscreteIntegratorBlock>("acc", 1.0);
+    auto& g = n.add<blocks::GainBlock>("g", 3.0);
+    auto& o = n.add<model::Outport>("o");
+    n.connect(in, 0, acc, 0);
+    n.connect(acc, 0, g, 0);
+    n.connect(g, 0, o, 0);
+    nested.bind_ports({&in}, {&o});
+  }
+  ctrl.inner().connect(c, 0, nested, 0);
+  ctrl.inner().connect(nested, 0, out, 0);
+  ctrl.bind_ports({}, {&out});
+
+  std::vector<double> mil;
+  model::Engine engine(top, {.stop_time = 1.0});
+  engine.initialize();
+  for (int k = 0; k < 8; ++k) {
+    ASSERT_TRUE(engine.step());
+    mil.push_back(ctrl.out(0).as_double());
+  }
+
+  Generator gen;
+  const auto app = gen.generate(ctrl, project, {});
+  std::vector<double> task;
+  for (int k = 0; k < 8; ++k) {
+    app.tasks[0].compute(model::SimContext{k * 0.001, 0.001, false});
+    task.push_back(out.out(0).as_double());
+  }
+  EXPECT_EQ(task, mil);
+  EXPECT_GT(mil.back(), 0.0);
 }
 
 TEST(Generator, MemoryOverflowFlaggedOnTinyPart) {
