@@ -4,7 +4,8 @@
 //       EvidenceWriter serializes from a loaded TraceRecorder +
 //       MetricsRegistry into a sealed artifact (hash chain + SHA-256
 //       included) — this is the path a million-run campaign pays per run;
-//   (b) the same artifact parsed + verified back (reader MB/s);
+//   (b) the same artifact parsed + verified back (reader MB/s), from
+//       memory and from a file;
 //   (c) ingest cost against the live trace path: ns/event to record into
 //       the TraceRecorder ring vs ns/record to serialize + seal the same
 //       events into an artifact (reported as evidence.trace_ingest_ratio
@@ -19,6 +20,8 @@
 //       1 + artifact/run; the median across sessions is gated.
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -140,6 +143,31 @@ void print_table() {
               "decoded, both hashes checked\n\n",
               verify_ms, verify_mb_per_s);
   bench::summarize("evidence.verify_mb_per_s", verify_mb_per_s);
+
+  // (b') the same artifact verified from a file, as evidence_verify and
+  // the campaign resume path do: one sized read, then (b).
+  const std::string path = "bench_e12_verify.evd";
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(artifact.data()),
+             static_cast<std::streamsize>(artifact.size()));
+  double file_ms = 1e300;
+  evidence::VerifyResult from_file;
+  for (int r = 0; r < reps; ++r) {
+    bench::Stopwatch sw;
+    from_file = evidence::verify_artifact_file(path);
+    file_ms = std::min(file_ms, sw.elapsed_ms());
+    if (!from_file.ok) break;
+  }
+  std::remove(path.c_str());
+  if (!from_file.ok) {
+    std::printf("file verify FAILED: %s\n", from_file.summary().c_str());
+    return;
+  }
+  const double file_mb_per_s =
+      static_cast<double>(artifact.size()) / 1e6 / (file_ms / 1e3);
+  std::printf("(b') read file + verify: %.2f ms (%.1f MB/s)\n\n", file_ms,
+              file_mb_per_s);
+  bench::summarize("evidence.verify_file_mb_per_s", file_mb_per_s);
 
   // (c) ingest cost vs the live trace path ------------------------------
   double live_ms = 1e300;

@@ -1,5 +1,7 @@
 #include "codegen/c_emitter.hpp"
 
+#include <unordered_map>
+
 #include "beans/autosar.hpp"
 #include "codegen/target_io.hpp"
 #include "util/strings.hpp"
@@ -37,6 +39,11 @@ bool is_boundary(const model::Block* b) {
          dynamic_cast<const model::Outport*>(b) != nullptr;
 }
 
+bool is_atomic_subsystem(const model::Block* b) {
+  return dynamic_cast<const model::Subsystem*>(b) != nullptr &&
+         dynamic_cast<const model::FunctionCallSubsystem*>(b) == nullptr;
+}
+
 /// C variable holding output \p port of \p block: \p prefix plus the
 /// sanitized block name, with a port suffix when the block has several
 /// outputs.
@@ -51,15 +58,113 @@ std::string output_variable(const std::string& prefix,
   return var;
 }
 
+/// One emitted block graph (the periodic step, or an event task's body) in
+/// the order of its model::Schedule, which is the order the generated task
+/// runs it: every nested atomic subsystem expanded in place into its
+/// interior, then the subsystem entry, which publishes its Outports.
+/// Signals and states are named by scope: \p base for the graph's own
+/// blocks, plus "<subsystem>_" per level of nesting.
+class FlatGraph {
+ public:
+  FlatGraph(const model::Model& model, const std::string& base,
+            std::string boundary, bool fixed_point)
+      : schedule_(model), boundary_(std::move(boundary)),
+        fixed_point_(fixed_point) {
+    schedule_.refresh();
+    const auto& entries = schedule_.blocks();
+    for (const model::Block* b : entries) scope_[b] = base;
+    // Outer subsystems come first, so an inner one's scope is known when
+    // its interior is named.
+    for (const auto& sub : schedule_.subsystems()) {
+      const std::string inner =
+          scope_[sub.root] + util::sanitize_c_identifier(sub.root->name()) +
+          "_";
+      for (std::size_t i = sub.begin; i + 1 < sub.end; ++i) {
+        scope_[entries[i]] = inner;
+      }
+    }
+  }
+
+  const std::vector<model::Block*>& blocks() const {
+    return schedule_.blocks();
+  }
+
+  /// Scope-qualified sanitized name of \p b (the event-task name).
+  std::string qualified_name(const model::Block* b) const {
+    return scope_.at(b) + util::sanitize_c_identifier(b->name());
+  }
+
+  std::string variable(const model::Block* b, int port) const {
+    return output_variable("rtb_" + scope_.at(b), b, port);
+  }
+
+  /// C expression feeding input \p i of \p b: the driving block's
+  /// variable, seen through the Inports of nested subsystems; the graph's
+  /// own boundary reads as \p boundary.
+  std::string input(const model::Block* b, int i) const {
+    if (!b->input_connected(i)) return "0";
+    const auto& conn = b->input(i);
+    if (const auto* in = dynamic_cast<const model::Inport*>(conn.src)) {
+      if (scope_.count(in->parent()) != 0) {
+        return input(in->parent(), in->port());
+      }
+      return boundary_;
+    }
+    if (is_boundary(conn.src)) return boundary_;
+    return variable(conn.src, conn.src_port);
+  }
+
+  model::EmitContext context(const model::Block* b) const {
+    model::EmitContext ectx;
+    ectx.fixed_point = fixed_point_;
+    ectx.state_prefix = "rtDW_" + qualified_name(b) + "_";
+    for (int i = 0; i < b->input_count(); ++i) {
+      ectx.inputs.push_back(input(b, i));
+    }
+    for (int p = 0; p < b->output_count(); ++p) {
+      ectx.outputs.push_back(variable(b, p));
+    }
+    return ectx;
+  }
+
+  /// Copies \p sub's interior Outports (entries of this graph) to its
+  /// outputs, held in \p outer (this graph, or the one that triggers an
+  /// event task).
+  std::string publish(const model::Subsystem& sub,
+                      const FlatGraph& outer) const {
+    std::string out;
+    const auto& outports = sub.outports();
+    for (std::size_t p = 0; p < outports.size(); ++p) {
+      const int port = static_cast<int>(p);
+      out += util::format("%s = %s;  /* %s output %d */\n",
+                          outer.variable(&sub, port).c_str(),
+                          input(outports[p], 0).c_str(), sub.name().c_str(),
+                          port);
+    }
+    return out;
+  }
+
+  /// One statement group per block: its output, or a nested subsystem's
+  /// publish step.
+  std::string emit_output(const model::Block* b) const {
+    if (is_atomic_subsystem(b)) {
+      return publish(static_cast<const model::Subsystem&>(*b), *this);
+    }
+    return b->emit_c(context(b));
+  }
+
+ private:
+  model::Schedule schedule_;
+  std::unordered_map<const model::Block*, std::string> scope_;
+  std::string boundary_;
+  bool fixed_point_;
+};
+
 }  // namespace
 
 CEmitter::CEmitter(const model::Subsystem& controller,
                    const beans::BeanProject& project, EmitterOptions options)
     : controller_(controller), project_(project), options_(options) {}
-
-std::string CEmitter::variable_of(const model::Block* block, int port) const {
-  return output_variable("rtb_", block, port);
-}
 
 std::string CEmitter::emit_header() const {
   std::string h;
@@ -86,33 +191,39 @@ std::string CEmitter::emit_header() const {
 }
 
 std::string CEmitter::emit_step_source() const {
-  const auto& inner = controller_.inner();
+  const FlatGraph step(controller_.inner(), "", "0 /* boundary */",
+                       options_.fixed_point);
+  // An event task's body: the interior of a function-call subsystem.
+  const auto task_graph = [&](const model::Block* fc) {
+    return FlatGraph(static_cast<const model::Subsystem*>(fc)->inner(),
+                     step.qualified_name(fc) + "_", "0",
+                     options_.fixed_point);
+  };
+  const auto is_function_call = [](const model::Block* b) {
+    return dynamic_cast<const model::FunctionCallSubsystem*>(b) != nullptr;
+  };
+
   std::string c;
   c += util::format("/* %s.c -- model step function, one statement group per "
                     "block in data-flow order. */\n",
                     options_.app_name.c_str());
   c += util::format("#include \"%s.h\"\n\n", options_.app_name.c_str());
 
-  // Signal declarations (top level, then event-task interiors).
-  for (const model::Block* b : inner.sorted()) {
-    if (is_boundary(b)) continue;
+  // Signal declarations (step entries, then event-task interiors).
+  const auto declare = [&](const FlatGraph& graph, const model::Block* b) {
     for (int p = 0; p < b->output_count(); ++p) {
       c += util::format("static %s %s;\n",
                         c_type_of(b->output_type(p), options_.fixed_point),
-                        variable_of(b, p).c_str());
+                        graph.variable(b, p).c_str());
     }
-    const auto* fc = dynamic_cast<const model::FunctionCallSubsystem*>(b);
-    if (!fc) continue;
-    const std::string fc_prefix =
-        "rtb_" + util::sanitize_c_identifier(fc->name()) + "_";
-    for (const model::Block* ib : fc->inner().sorted()) {
-      if (is_boundary(ib)) continue;
-      for (int p = 0; p < ib->output_count(); ++p) {
-        c += util::format(
-            "static %s %s;\n",
-            c_type_of(ib->output_type(p), options_.fixed_point),
-            output_variable(fc_prefix, ib, p).c_str());
-      }
+  };
+  for (const model::Block* b : step.blocks()) {
+    if (is_boundary(b)) continue;
+    declare(step, b);
+    if (!is_function_call(b)) continue;
+    const FlatGraph task = task_graph(b);
+    for (const model::Block* ib : task.blocks()) {
+      if (!is_boundary(ib)) declare(task, ib);
     }
   }
   c += "\n";
@@ -134,66 +245,38 @@ std::string CEmitter::emit_step_source() const {
     }
     return io->emit_target_c(false, var);
   };
-
-  // Shared emit-context builder for top-level algorithm blocks.
-  const auto make_ectx = [&](const model::Block* b) {
-    model::EmitContext ectx;
-    ectx.fixed_point = options_.fixed_point;
-    ectx.state_prefix =
-        "rtDW_" + util::sanitize_c_identifier(b->name()) + "_";
-    for (int i = 0; i < b->input_count(); ++i) {
-      if (b->input_connected(i)) {
-        const auto& conn = b->input(i);
-        if (is_boundary(conn.src)) {
-          ectx.inputs.push_back("0 /* boundary */");
-        } else {
-          ectx.inputs.push_back(variable_of(conn.src, conn.src_port));
-        }
-      } else {
-        ectx.inputs.push_back("0");
-      }
-    }
-    for (int p = 0; p < b->output_count(); ++p) {
-      ectx.outputs.push_back(variable_of(b, p));
-    }
-    return ectx;
-  };
   const auto is_algorithm_block = [&](const model::Block* b) {
     if (is_boundary(b)) return false;
     if (dynamic_cast<const TargetIo*>(b)) return false;
-    if (dynamic_cast<const model::FunctionCallSubsystem*>(b)) return false;
+    if (is_function_call(b)) return false;
     if (b->output_count() == 0 && b->input_count() > 0) return false;  // sink
     return true;
   };
 
   c += util::format("void %s_step(void) {\n", options_.app_name.c_str());
   // Hardware reads first.
-  for (const model::Block* b : inner.sorted()) {
+  for (const model::Block* b : step.blocks()) {
     const auto* io = dynamic_cast<const TargetIo*>(b);
     if (io && io->io_direction() == IoDirection::kInput) {
-      c += util::indent(hw_access(io, variable_of(b, 0), true), 2);
+      c += util::indent(hw_access(io, step.variable(b, 0), true), 2);
     }
   }
-  // Output phase: algorithm blocks in data-flow order.
-  for (const model::Block* b : inner.sorted()) {
-    if (is_algorithm_block(b)) c += util::indent(b->emit_c(make_ectx(b)), 2);
+  // Output phase: algorithm blocks in schedule order.
+  for (const model::Block* b : step.blocks()) {
+    if (is_algorithm_block(b)) c += util::indent(step.emit_output(b), 2);
   }
   // Update phase: discrete states advance after all outputs (mirrors the
   // engine's output/update split).
-  for (const model::Block* b : inner.sorted()) {
+  for (const model::Block* b : step.blocks()) {
     if (is_algorithm_block(b)) {
-      c += util::indent(b->emit_c_update(make_ectx(b)), 2);
+      c += util::indent(b->emit_c_update(step.context(b)), 2);
     }
   }
   // Hardware writes last.
-  for (const model::Block* b : inner.sorted()) {
+  for (const model::Block* b : step.blocks()) {
     const auto* io = dynamic_cast<const TargetIo*>(b);
     if (io && io->io_direction() == IoDirection::kOutput) {
-      std::string src = "0";
-      if (b->input_count() > 0 && b->input_connected(0)) {
-        const auto& conn = b->input(0);
-        src = variable_of(conn.src, conn.src_port);
-      }
+      const std::string src = b->input_count() > 0 ? step.input(b, 0) : "0";
       c += util::indent(hw_access(io, src, false), 2);
     }
   }
@@ -201,59 +284,24 @@ std::string CEmitter::emit_step_source() const {
 
   // Event-driven tasks: each function-call subsystem becomes a function
   // invoked from its bean event's ISR.
-  for (const model::Block* b : inner.sorted()) {
-    const auto* fc = dynamic_cast<const model::FunctionCallSubsystem*>(b);
-    if (!fc) continue;
-    const std::string fc_prefix =
-        "rtb_" + util::sanitize_c_identifier(fc->name()) + "_";
+  for (const model::Block* b : step.blocks()) {
+    if (!is_function_call(b)) continue;
+    const FlatGraph task = task_graph(b);
     c += util::format(
         "\n/* event task: triggered by its bean event's ISR */\n"
         "void %s_task(void) {\n",
-        util::sanitize_c_identifier(fc->name()).c_str());
-    const auto make_inner_ectx = [&](const model::Block* ib) {
-      model::EmitContext ectx;
-      ectx.fixed_point = options_.fixed_point;
-      ectx.state_prefix =
-          "rtDW_" + util::sanitize_c_identifier(fc->name()) + "_" +
-          util::sanitize_c_identifier(ib->name()) + "_";
-      for (int i = 0; i < ib->input_count(); ++i) {
-        if (ib->input_connected(i) && !is_boundary(ib->input(i).src)) {
-          ectx.inputs.push_back(
-              fc_prefix +
-              util::sanitize_c_identifier(ib->input(i).src->name()));
-        } else {
-          ectx.inputs.push_back("0");
-        }
-      }
-      for (int p = 0; p < ib->output_count(); ++p) {
-        ectx.outputs.push_back(output_variable(fc_prefix, ib, p));
-      }
-      return ectx;
-    };
-    for (const model::Block* ib : fc->inner().sorted()) {
-      if (is_boundary(ib)) continue;
-      c += util::indent(ib->emit_c(make_inner_ectx(ib)), 2);
+        step.qualified_name(b).c_str());
+    for (const model::Block* ib : task.blocks()) {
+      if (!is_boundary(ib)) c += util::indent(task.emit_output(ib), 2);
     }
-    for (const model::Block* ib : fc->inner().sorted()) {
-      if (is_boundary(ib)) continue;
-      c += util::indent(ib->emit_c_update(make_inner_ectx(ib)), 2);
+    for (const model::Block* ib : task.blocks()) {
+      if (!is_boundary(ib)) {
+        c += util::indent(ib->emit_c_update(task.context(ib)), 2);
+      }
     }
     // Latch the subsystem outputs the periodic code reads.
-    int port = 0;
-    for (const model::Block* ib : fc->inner().sorted()) {
-      const auto* outport = dynamic_cast<const model::Outport*>(ib);
-      if (!outport) continue;
-      if (outport->input_connected(0) &&
-          !is_boundary(outport->input(0).src)) {
-        c += util::format(
-            "  %s = %s;  /* %s output %d */\n", variable_of(fc, port).c_str(),
-            (fc_prefix +
-             util::sanitize_c_identifier(outport->input(0).src->name()))
-                .c_str(),
-            fc->name().c_str(), port);
-      }
-      ++port;
-    }
+    c += util::indent(
+        task.publish(static_cast<const model::Subsystem&>(*b), step), 2);
     c += "}\n";
   }
   return c;

@@ -1,7 +1,8 @@
 /// \file c_emitter.hpp
 /// Renders the generated application as readable C sources, mirroring what
 /// RTW Embedded Coder produces: a model step function assembled from the
-/// per-block emitters ("TLC scripts") in data-flow order, a main skeleton
+/// per-block emitters ("TLC scripts") in the order of the controller's
+/// model::Schedule (nested subsystems flattened), a main skeleton
 /// with the interrupt infrastructure, and the bean drivers from the PE
 /// side.  The sources are for inspection and line/size accounting; the
 /// executable form of the application is the task closures.
@@ -33,7 +34,6 @@ class CEmitter {
   std::map<std::string, std::string> emit() const;
 
  private:
-  std::string variable_of(const model::Block* block, int port) const;
   std::string emit_step_source() const;
   std::string emit_header() const;
   std::string emit_main() const;

@@ -1,6 +1,7 @@
 #include "evidence/reader.hpp"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "evidence/hash.hpp"
@@ -32,12 +33,56 @@ Status EvidenceReader::fail(Status s, const std::string& message) {
   return s;
 }
 
+bool read_whole_file(const std::string& path, std::vector<std::uint8_t>& out,
+                     std::string& error) {
+  out.clear();
+  // Checked first: a directory opens as a stream whose end offset is
+  // meaningless, so sizing the buffer from it would be wrong.
+  std::error_code ec;
+  const auto kind = std::filesystem::status(path, ec).type();
+  if (kind == std::filesystem::file_type::not_found ||
+      kind == std::filesystem::file_type::none) {
+    error = "cannot open file";
+    return false;
+  }
+  if (kind != std::filesystem::file_type::regular) {
+    error = "not a regular file";
+    return false;
+  }
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = is ? std::streamoff(is.tellg()) : -1;
+  if (size < 0) {
+    error = "cannot open file";
+    return false;
+  }
+  if (size == 0) {
+    error = "empty file";
+    return false;
+  }
+  out.resize(static_cast<std::size_t>(size));
+  is.seekg(0);
+  is.read(reinterpret_cast<char*>(out.data()), size);
+  if (is.gcount() != size) {
+    error = "short read: " + std::to_string(is.gcount()) + " of " +
+            std::to_string(size) + " bytes";
+    out.clear();
+    return false;
+  }
+  return true;
+}
+
 Status EvidenceReader::parse_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return fail(Status::kTruncated, "cannot open " + path);
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
+  std::vector<std::uint8_t> bytes;
+  std::string error;
+  if (!read_whole_file(path, bytes, error)) {
+    return fail(Status::kTruncated, error);
+  }
   return parse(bytes.data(), bytes.size());
+}
+
+std::string_view EvidenceReader::string_of(std::uint32_t id) const {
+  const auto it = strings_.find(id);
+  return it == strings_.end() ? std::string_view() : it->second;
 }
 
 Status EvidenceReader::parse(const std::uint8_t* data, std::size_t size) {
@@ -178,20 +223,12 @@ bool EvidenceReader::decode_record(std::uint16_t schema_id,
     }
     case kSchemaTraceEvent: {
       DecodedEvent ev;
-      std::uint32_t category = 0, name = 0, track = 0;
-      if (!cur.read(ev.type) || !cur.read(category) || !cur.read(name) ||
-          !cur.read(track) || !cur.read(ev.time) || !cur.read(ev.duration) ||
+      if (!cur.read(ev.type) || !cur.read(ev.category) || !cur.read(ev.name) ||
+          !cur.read(ev.track) || !cur.read(ev.time) || !cur.read(ev.duration) ||
           !cur.read(ev.seq) || !cur.read_f64(ev.value)) {
         return false;
       }
-      const auto resolve = [this](std::uint32_t id) {
-        const auto it = strings_.find(id);
-        return it == strings_.end() ? std::string() : it->second;
-      };
-      ev.category = resolve(category);
-      ev.name = resolve(name);
-      ev.track = resolve(track);
-      events_.push_back(std::move(ev));
+      events_.push_back(ev);
       return true;
     }
     case kSchemaMetricCounter: {
@@ -325,25 +362,27 @@ trace::TraceRecorder EvidenceReader::rebuild_trace() const {
     recorder.intern(str);
   }
   for (const auto& ev : events_) {
+    const std::string_view category = string_of(ev.category);
+    const std::string_view name = string_of(ev.name);
+    const std::string_view track = string_of(ev.track);
     const auto type = static_cast<trace::EventType>(ev.type);
     switch (type) {
       case trace::EventType::kSpanBegin:
-        recorder.span_begin(ev.category, ev.name, ev.track, ev.time,
-                            ev.value);
+        recorder.span_begin(category, name, track, ev.time, ev.value);
         break;
       case trace::EventType::kSpanEnd:
-        recorder.span_end(ev.category, ev.name, ev.track, ev.time, ev.value);
+        recorder.span_end(category, name, track, ev.time, ev.value);
         break;
       case trace::EventType::kSpanComplete:
-        recorder.span_complete(ev.category, ev.name, ev.track,
-                               ev.time, ev.time + ev.duration, ev.value);
+        recorder.span_complete(category, name, track, ev.time,
+                               ev.time + ev.duration, ev.value);
         break;
       case trace::EventType::kCounter:
-        recorder.counter(ev.category, ev.name, ev.track, ev.time, ev.value);
+        recorder.counter(category, name, track, ev.time, ev.value);
         break;
       case trace::EventType::kInstant:
       default:
-        recorder.instant(ev.category, ev.name, ev.track, ev.time, ev.value);
+        recorder.instant(category, name, track, ev.time, ev.value);
         break;
     }
   }

@@ -1,8 +1,9 @@
 /// \file reader.hpp
 /// EvidenceReader: parses and validates an artifact, then exposes its
-/// decoded content — the reconstructed MetricsRegistry, trace events with
-/// resolved names, health/campaign summaries, build info.  The parser is
-/// defensive end to end: every length field is bounds-checked, a
+/// decoded content — the reconstructed MetricsRegistry, trace events (names
+/// kept as interned ids, resolved on use), health/campaign summaries, build
+/// info.  A file is read with one sized read (read_whole_file).  The
+/// parser is defensive end to end: every length field is bounds-checked, a
 /// truncated or bit-flipped file yields a Status (never UB), and the
 /// corruption fuzz test drives it under ASan.
 #pragma once
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "evidence/schema.hpp"
@@ -34,12 +36,21 @@ enum class Status {
 
 const char* status_name(Status s);
 
-/// One decoded trace event with interned ids resolved to strings.
+/// Reads the whole regular file at \p path into \p out with one sized
+/// read.  Returns false, with the reason in \p error, when the path is
+/// missing, not a regular file (e.g. a directory), empty, or reads short;
+/// it never throws for those.
+bool read_whole_file(const std::string& path, std::vector<std::uint8_t>& out,
+                     std::string& error);
+
+/// One decoded trace event.  Its category/name/track stay interned ids
+/// into the artifact's string table; EvidenceReader::string_of() resolves
+/// them.
 struct DecodedEvent {
   std::uint8_t type = 0;
-  std::string category;
-  std::string name;
-  std::string track;
+  std::uint32_t category = 0;
+  std::uint32_t name = 0;
+  std::uint32_t track = 0;
   std::int64_t time = 0;
   std::int64_t duration = 0;
   std::uint64_t seq = 0;
@@ -95,7 +106,8 @@ class EvidenceReader {
   Status parse(const std::vector<std::uint8_t>& bytes) {
     return parse(bytes.data(), bytes.size());
   }
-  /// Reads the file and parses it; kTruncated when it cannot be opened.
+  /// Reads the file (read_whole_file) and parses it; kTruncated when it
+  /// cannot be read in full.
   Status parse_file(const std::string& path);
 
   const std::string& error() const { return error_; }
@@ -105,6 +117,9 @@ class EvidenceReader {
   const std::map<std::uint32_t, std::string>& strings() const {
     return strings_;
   }
+  /// The interned string \p id names, or empty when the artifact interns
+  /// no such id.  The view stays valid until this reader parses again.
+  std::string_view string_of(std::uint32_t id) const;
   const std::vector<DecodedEvent>& events() const { return events_; }
   const trace::MetricsRegistry& metrics() const { return metrics_; }
   const std::vector<util::BuildInfo>& build_infos() const {

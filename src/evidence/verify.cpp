@@ -86,16 +86,15 @@ VerifyResult verify_artifact(const std::vector<std::uint8_t>& bytes,
 }
 
 VerifyResult verify_artifact_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
+  std::vector<std::uint8_t> bytes;
+  std::string error;
+  if (!read_whole_file(path, bytes, error)) {
     VerifyResult result;
     result.path = path;
     result.status = Status::kTruncated;
-    result.error = "cannot open file";
+    result.error = error;
     return result;
   }
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
   return verify_artifact(bytes.data(), bytes.size(), path);
 }
 

@@ -26,6 +26,11 @@ class Inport : public Block {
     if (parent_ != nullptr) set_out_value(0, parent_->in_value(port_));
   }
 
+  /// The subsystem whose input this presents (null until bind_ports()),
+  /// and that input's index.
+  const Block* parent() const { return parent_; }
+  int port() const { return port_; }
+
  private:
   friend class Subsystem;
   const Block* parent_ = nullptr;
@@ -65,6 +70,8 @@ class Subsystem : public Block {
   /// Declares which interior blocks are the boundary ports, in port order.
   /// Must be called once the interior is fully built.
   void bind_ports(std::vector<Inport*> inports, std::vector<Outport*> outports);
+  /// The interior Outports, in output-port order.
+  const std::vector<Outport*>& outports() const { return outports_; }
 
   /// Resolves the interior blocks' rates and initializes them.
   void initialize(const SimContext& ctx) override;

@@ -232,6 +232,57 @@ TEST(Generator, NestedSubsystemTaskMatchesMil) {
   EXPECT_GT(mil.back(), 0.0);
 }
 
+TEST(Generator, EmittedStepRunsNestedSubsystemInterior) {
+  // The probe c(0.5) -> nested{Inport -> Gain 3 -> Outport}: MIL computes
+  // 1.5, and so must the emitted step function, which flattens the nested
+  // subsystem the way the generated task runs it.
+  model::Model top{"top"};
+  auto& ctrl = top.add<model::Subsystem>("ctrl", 0, 1);
+  ctrl.set_sample_time(model::SampleTime::discrete(0.001));
+  beans::BeanProject project("p");
+  project.add<beans::TimerIntBean>("TI1");
+  auto& c = ctrl.inner().add<blocks::ConstantBlock>("c", 0.5);
+  auto& nested = ctrl.inner().add<model::Subsystem>("nested", 1, 1);
+  auto& out = ctrl.inner().add<model::Outport>("out");
+  {
+    model::Model& n = nested.inner();
+    auto& in = n.add<model::Inport>("in");
+    auto& g = n.add<blocks::GainBlock>("g", 3.0);
+    auto& o = n.add<model::Outport>("o");
+    n.connect(in, 0, g, 0);
+    n.connect(g, 0, o, 0);
+    nested.bind_ports({&in}, {&o});
+  }
+  ctrl.inner().connect(c, 0, nested, 0);
+  ctrl.inner().connect(nested, 0, out, 0);
+  ctrl.bind_ports({}, {&out});
+
+  model::Engine engine(top, {.stop_time = 1.0});
+  engine.initialize();
+  ASSERT_TRUE(engine.step());
+  EXPECT_DOUBLE_EQ(ctrl.out(0).as_double(), 1.5);
+
+  Generator gen;
+  const auto app = gen.generate(ctrl, project, {});
+  const std::string& step = app.sources.at("model.c");
+  // Interior signals are scoped by the subsystem name and declared.
+  EXPECT_NE(step.find("static real_T rtb_nested_g;"), std::string::npos)
+      << step;
+  // The gain reads the subsystem's input through its Inport ...
+  const auto gain = step.find("rtb_nested_g = ");
+  ASSERT_NE(gain, std::string::npos) << step;
+  const std::string gain_line =
+      step.substr(gain, step.find('\n', gain) - gain);
+  EXPECT_NE(gain_line.find("rtb_c"), std::string::npos) << gain_line;
+  EXPECT_NE(gain_line.find('3'), std::string::npos) << gain_line;
+  // ... and its result, not the subsystem's input, reaches rtb_nested.
+  const auto publish = step.find("rtb_nested = rtb_nested_g;");
+  ASSERT_NE(publish, std::string::npos) << step;
+  EXPECT_LT(step.find("rtb_c = "), gain);
+  EXPECT_LT(gain, publish);
+  EXPECT_EQ(step.find("rtb_nested = rtb_c;"), std::string::npos) << step;
+}
+
 TEST(Generator, MemoryOverflowFlaggedOnTinyPart) {
   // HCS08 has 4 KB RAM; a controller with a huge state burden must trip
   // the estimate.

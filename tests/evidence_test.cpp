@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/checkpoint.hpp"
 #include "campaign/engine.hpp"
 #include "evidence/hash.hpp"
 #include "evidence/reader.hpp"
@@ -264,11 +265,11 @@ TEST(EvidenceRoundTrip, EverythingDecodesExactly) {
   EXPECT_TRUE(r.health_summaries()[0].healthy);
   EXPECT_EQ(r.health_summaries()[0].json, health.to_json());
 
-  // Trace: every event decoded with resolved names, in order.
+  // Trace: every event decoded, in order, its names resolved on use.
   ASSERT_EQ(r.events().size(), rec.size());
-  EXPECT_EQ(r.events()[0].category, "sim");
-  EXPECT_EQ(r.events()[0].name, "step");
-  EXPECT_EQ(r.events()[0].track, "cpu");
+  EXPECT_EQ(r.string_of(r.events()[0].category), "sim");
+  EXPECT_EQ(r.string_of(r.events()[0].name), "step");
+  EXPECT_EQ(r.string_of(r.events()[0].track), "cpu");
   EXPECT_EQ(r.events()[0].time, 1000);
   EXPECT_EQ(r.events()[0].duration, 120);
   EXPECT_EQ(r.events()[0].value, 0.0);
@@ -304,6 +305,43 @@ TEST(EvidenceRoundTrip, RebuildTraceReexportsIdentically) {
   // recorder are byte-identical to exporting the live one.
   EXPECT_EQ(trace::to_chrome_trace(rebuilt), trace::to_chrome_trace(rec));
   EXPECT_EQ(trace::to_csv(rebuilt), trace::to_csv(rec));
+}
+
+TEST(EvidenceRoundTrip, EventWithoutInternRecordResolvesToEmptyName) {
+  trace::TraceRecorder rec(16);
+  rec.instant("sim", "mark", "cpu", 100);
+  EvidenceWriter w;
+  w.record_trace(rec);
+  // A hand-written event whose name id 99 no intern record defines.
+  std::vector<std::uint8_t> p;
+  store_le<std::uint8_t>(
+      p, static_cast<std::uint8_t>(trace::EventType::kInstant));
+  store_le<std::uint32_t>(p, rec.intern("sim"));  // category
+  store_le<std::uint32_t>(p, 99);                 // name: not interned
+  store_le<std::uint32_t>(p, rec.intern("cpu"));  // track
+  store_le<std::int64_t>(p, 200);
+  store_le<std::int64_t>(p, 0);
+  store_le<std::uint64_t>(p, 1);
+  store_f64(p, 0.0);
+  w.append_record(kSchemaTraceEvent, 1, p);
+  w.finish();
+
+  EvidenceReader r;
+  ASSERT_EQ(r.parse(w.bytes()), Status::kOk) << r.error();
+  ASSERT_EQ(r.events().size(), 2u);
+  const DecodedEvent& ev = r.events()[1];
+  EXPECT_EQ(ev.name, 99u);
+  EXPECT_EQ(r.string_of(ev.name), "");
+  EXPECT_EQ(r.string_of(ev.category), "sim");
+  EXPECT_EQ(r.string_of(ev.track), "cpu");
+
+  // The rebuilt trace carries the same empty name.
+  const trace::TraceRecorder rebuilt = r.rebuild_trace();
+  const auto events = rebuilt.snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(rebuilt.string_at(events[1].name), "");
+  EXPECT_EQ(rebuilt.string_at(events[1].category), "sim");
+  EXPECT_EQ(rebuilt.string_at(events[1].track), "cpu");
 }
 
 // ------------------------------------------------------- schema evolution
@@ -478,6 +516,76 @@ TEST(EvidenceVerify, ResultSummaryAndJson) {
   EXPECT_FALSE(fail.ok);
   EXPECT_EQ(fail.summary().rfind("FAIL mem.evd", 0), 0u) << fail.summary();
   EXPECT_NE(fail.to_json().find("\"ok\":false"), std::string::npos);
+}
+
+TEST(EvidenceVerify, FileAndMemoryAgree) {
+  const fs::path dir = scratch_dir("file_and_memory");
+  const auto bytes = build_full_artifact();
+  const std::string path = (dir / "full.evd").string();
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+
+  const VerifyResult file = verify_artifact_file(path);
+  const VerifyResult memory = verify_artifact(bytes, path);
+  ASSERT_TRUE(file.ok) << file.summary();
+  EXPECT_EQ(file.status, memory.status);
+  EXPECT_EQ(file.error, memory.error);
+  EXPECT_EQ(file.bytes, bytes.size());
+  EXPECT_EQ(file.bytes, memory.bytes);
+  EXPECT_EQ(file.records, memory.records);
+  EXPECT_EQ(file.events, memory.events);
+  EXPECT_GT(file.events, 0u);
+  EXPECT_EQ(file.unknown_records, memory.unknown_records);
+  EXPECT_EQ(file.chain_hash_hex, memory.chain_hash_hex);
+  EXPECT_EQ(file.sha256_hex, memory.sha256_hex);
+  EXPECT_EQ(file.schema_names, memory.schema_names);
+  EXPECT_EQ(file.to_json(), memory.to_json());
+}
+
+TEST(EvidenceVerify, UnreadablePathsFailWithoutThrowing) {
+  const fs::path dir = scratch_dir("unreadable");
+  const std::string missing = (dir / "missing.evd").string();
+  const std::string empty = (dir / "empty.evd").string();
+  std::ofstream(empty, std::ios::binary).flush();
+  const std::string directory = (dir / "directory.evd").string();
+  fs::create_directories(directory);
+  std::vector<std::string> paths = {missing, empty, directory};
+  // sysfs reports each attribute file as 4096 bytes, but reading one
+  // yields only its few bytes of text: a genuine short read.  Covered
+  // where the host has sysfs.
+  const std::string sysfs = "/sys/devices/system/cpu/online";
+  std::error_code ec;
+  if (fs::is_regular_file(sysfs, ec)) paths.push_back(sysfs);
+
+  for (const std::string& path : paths) {
+    std::vector<std::uint8_t> bytes;
+    std::string error;
+    EXPECT_FALSE(read_whole_file(path, bytes, error)) << path;
+    EXPECT_FALSE(error.empty()) << path;
+    EXPECT_TRUE(bytes.empty()) << path;
+
+    VerifyResult v;
+    EXPECT_NO_THROW(v = verify_artifact_file(path)) << path;
+    EXPECT_FALSE(v.ok) << path;
+    EXPECT_EQ(v.status, Status::kTruncated) << path;
+    EXPECT_EQ(v.summary().rfind("FAIL " + path + ": ", 0), 0u)
+        << v.summary();
+
+    EvidenceReader r;
+    Status s = Status::kOk;
+    EXPECT_NO_THROW(s = r.parse_file(path)) << path;
+    EXPECT_EQ(s, Status::kTruncated) << path;
+    EXPECT_EQ(r.error(), error) << path;
+  }
+
+  // A directory where the checkpoint should be is corrupt, not missing.
+  const fs::path ckpt = dir / "CHECKPOINT.evd";
+  fs::create_directories(ckpt);
+  campaign::CheckpointState state;
+  campaign::CheckpointStatus status = campaign::CheckpointStatus::kOk;
+  EXPECT_NO_THROW(status = campaign::load_checkpoint(ckpt.string(), state));
+  EXPECT_EQ(status, campaign::CheckpointStatus::kCorrupt);
 }
 
 // ------------------------------------------------------- campaign evidence
