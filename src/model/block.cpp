@@ -15,18 +15,12 @@ Block::Block(std::string name, int inputs, int outputs)
   if (inputs < 0 || outputs < 0) {
     throw std::invalid_argument("Block: negative port count");
   }
-  slots_ = outputs_.data();
+  sources_.assign(inputs_.size(), &value_at({}));
 }
 
-const Value& Block::zero_value() {
+const Value& Block::value_at(const Connection& c) {
   static const Value kZero = Value::of_double(0.0);
-  return kZero;
-}
-
-const Value& Block::in_walk(int port) const {
-  const Connection& c = inputs_.at(static_cast<std::size_t>(port));
-  if (!c.src) return zero_value();
-  return c.src->out(c.src_port);
+  return c.src != nullptr ? c.src->out(c.src_port) : kZero;
 }
 
 void Block::throw_bad_port(int port, bool output) const {
@@ -43,7 +37,7 @@ void Block::set_output_type(int port, DataType type,
   out_types_.at(static_cast<std::size_t>(port)) = type;
   out_fmts_.at(static_cast<std::size_t>(port)) = fmt;
   // Re-quantize the current latched value so type changes apply instantly.
-  Value& slot = slots_[static_cast<std::size_t>(port)];
+  Value& slot = outputs_[static_cast<std::size_t>(port)];
   slot = Value::quantize(slot.as_double(), type, fmt);
 }
 
@@ -63,15 +57,6 @@ bool Block::input_connected(int port) const {
 
 const Block::Connection& Block::input(int port) const {
   return inputs_.at(static_cast<std::size_t>(port));
-}
-
-void Block::set_out_value(int port, const Value& v) {
-  const DataType want = out_types_.at(static_cast<std::size_t>(port));
-  if (v.type() == want) {
-    slots_[static_cast<std::size_t>(port)] = v;
-  } else {
-    set_out(port, v.as_double());
-  }
 }
 
 mcu::OpCounts Block::step_ops(bool fixed_point) const {

@@ -283,6 +283,42 @@ TEST(Generator, EmittedStepRunsNestedSubsystemInterior) {
   EXPECT_EQ(step.find("rtb_nested = rtb_c;"), std::string::npos) << step;
 }
 
+TEST(Generator, EventTaskInportReadsTheSubsystemInput) {
+  // The probe c(0.5) -> fc{Inport -> Gain 3 -> Outport}: MIL's trigger()
+  // computes 1.5, and the emitted event task reads the expression feeding
+  // the function-call subsystem's input, not a constant.
+  model::Model top{"top"};
+  auto& ctrl = top.add<model::Subsystem>("ctrl", 0, 0);
+  ctrl.set_sample_time(model::SampleTime::discrete(0.001));
+  beans::BeanProject project("p");
+  project.add<beans::TimerIntBean>("TI1");
+  auto& c = ctrl.inner().add<blocks::ConstantBlock>("c", 0.5);
+  auto& fc = ctrl.inner().add<model::FunctionCallSubsystem>("fc", 1, 1);
+  {
+    model::Model& f = fc.inner();
+    auto& in = f.add<model::Inport>("in");
+    auto& g = f.add<blocks::GainBlock>("g", 3.0);
+    auto& o = f.add<model::Outport>("o");
+    f.connect(in, 0, g, 0);
+    f.connect(g, 0, o, 0);
+    fc.bind_ports({&in}, {&o});
+  }
+  ctrl.inner().connect(c, 0, fc, 0);
+  ctrl.bind_ports({}, {});
+
+  model::Engine engine(top, {.stop_time = 1.0});
+  engine.initialize();
+  ASSERT_TRUE(engine.step());
+  fc.trigger(model::SimContext{0.0, 0.001, false});
+  EXPECT_DOUBLE_EQ(fc.out(0).as_double(), 1.5);
+
+  Generator gen;
+  const auto app = gen.generate(ctrl, project, {});
+  const std::string& step = app.sources.at("model.c");
+  EXPECT_NE(step.find("rtb_fc_g = 3 * rtb_c;"), std::string::npos) << step;
+  EXPECT_NE(step.find("rtb_fc = rtb_fc_g;"), std::string::npos) << step;
+}
+
 TEST(Generator, MemoryOverflowFlaggedOnTinyPart) {
   // HCS08 has 4 KB RAM; a controller with a huge state burden must trip
   // the estimate.
