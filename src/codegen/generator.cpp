@@ -44,7 +44,11 @@ GeneratedApplication Generator::generate(model::Subsystem& controller,
   if (options.pil && !options.pil_buffer) {
     throw std::invalid_argument("Generator: PIL variant needs a pil_buffer");
   }
-  // The controller's interior inherits the control period.
+  // The periodic task runs the controller interior's schedule; it is
+  // resolved before the interior initializes.  The interior inherits the
+  // control period.
+  auto schedule = std::make_shared<model::Schedule>(controller.inner());
+  schedule->refresh();
   controller.set_resolved_period(st.period);
   controller.set_resolved_continuous(false);
   controller.initialize(model::SimContext{0.0, st.period, false});
@@ -92,7 +96,6 @@ GeneratedApplication Generator::generate(model::Subsystem& controller,
   app.derivative = project.cpu().derivative().name;
 
   // --- Periodic model-step task: the controller interior's schedule ---
-  auto schedule = std::make_shared<model::Schedule>(controller.inner());
   TaskSpec step;
   step.name = options.app_name + "_step";
   step.trigger = TaskSpec::Trigger::kPeriodic;

@@ -61,9 +61,4 @@ double SignalBuffer::output(std::size_t index) const {
 
 std::vector<double> SignalBuffer::outputs() const { return outputs_; }
 
-void SignalBuffer::clear_values() {
-  for (auto& v : inputs_) v = 0.0;
-  for (auto& v : outputs_) v = 0.0;
-}
-
 }  // namespace iecd::codegen

@@ -42,8 +42,6 @@ class SignalBuffer {
     return output_names_;
   }
 
-  void clear_values();
-
  private:
   std::vector<double> inputs_;
   std::vector<double> outputs_;

@@ -63,14 +63,12 @@ void Engine::resolve_sample_times() {
         break;
       case SampleTime::Kind::kInherited: {
         bool continuous = false;
-        double period = base_period_;
         for (int i = 0; i < b->input_count(); ++i) {
-          if (!b->input_connected(i)) continue;
           const Block* src = b->input(i).src;
-          if (src->resolved_continuous()) continuous = true;
+          if (src != nullptr && src->resolved_continuous()) continuous = true;
         }
         b->set_resolved_continuous(continuous);
-        b->set_resolved_period(period);
+        b->set_resolved_period(base_period_);
         break;
       }
     }
@@ -87,9 +85,11 @@ void Engine::resolve_sample_times() {
 
 void Engine::initialize() {
   resolve_sample_times();
+  // Resolved first: initializers may read inputs (a state-space output,
+  // a chart's entry actions).
+  schedule_.refresh();
   SimContext ctx{0.0, base_period_, false};
   for (Block* b : model_.sorted()) b->initialize(ctx);
-  schedule_.refresh();
   build_dispatch();
   major_index_ = 0;
   initialized_ = true;

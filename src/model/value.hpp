@@ -67,7 +67,6 @@ class Value {
   double as_double() const;
   bool as_bool() const;
   std::int64_t as_int() const;
-  const fixpt::FixedValue& as_fixed() const { return fixed_; }
 
   std::string to_string() const;
 

@@ -15,6 +15,17 @@ LatencyHistogram::LatencyHistogram(Config config) : config_(config) {
   const std::size_t octaves =
       static_cast<std::size_t>(config_.max_exp - config_.min_exp);
   counts_.assign(1 + octaves * sub, 0);  // [0] = zero/underflow
+  // Biased exponent b is frexp exponent b - 1022, tracked in (min_exp,
+  // max_exp]; b = 0 (zero, subnormal) and 2047 (inf, NaN) never are.  Its
+  // bucket is 1 + (b - 1023 - min_exp) * S + s, and bits >> (52 - S) is
+  // b * S + s.
+  const int lo = std::max(1, 1023 + config_.min_exp);
+  const int hi = std::min(2046, 1022 + config_.max_exp);
+  // An empty range starts above every exponent field: nothing is fast.
+  fast_lo_ = lo <= hi ? static_cast<std::uint64_t>(lo) : 4096;
+  fast_span_ = static_cast<std::uint64_t>(std::max(hi - lo, 0));
+  fast_offset_ = 1 - static_cast<std::uint64_t>(1023 + config_.min_exp) * sub;
+  saturate_above_ = hi;
 }
 
 // Octave o of bucket 1 + o*S + s holds values whose frexp exponent is

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -53,13 +54,12 @@ class LatencyHistogram {
   /// path of every monitored task (the E9 overhead bench bounds its cost).
   void record(double value) {
     ++counts_[bucket_index(value)];
-    if (count_ == 0) {
+    if (count_ == 0) [[unlikely]] {
       min_ = value;
       max_ = value;
-    } else {
-      if (value < min_) min_ = value;
-      if (value > max_) max_ = value;
     }
+    min_ = value < min_ ? value : min_;
+    max_ = value > max_ ? value : max_;
     sum_ += value;
     ++count_;
   }
@@ -123,28 +123,36 @@ class LatencyHistogram {
  private:
   /// Bucket selection by IEEE-754 bit extraction — identical result to the
   /// frexp formulation (v = m * 2^e, m in [0.5, 1): octave e - 1 - min_exp,
-  /// sub-bucket floor((m - 0.5) * 2 * S)) but without the libm call: for a
-  /// normal double, e == biased_exponent - 1022 and (m - 0.5) * 2 * S is
-  /// exactly mantissa >> (52 - sub_bucket_bits).
+  /// sub-bucket floor((m - 0.5) * 2 * S)) but without the libm call.  One
+  /// unsigned compare admits exactly the positive normal values of the
+  /// tracked octaves (a negative value's sign bit puts its exponent field
+  /// out of range); for those, bits >> (52 - S) is the biased exponent
+  /// followed by the sub-bucket, so a shift and a wrapping add give the
+  /// bucket.  Zero, negative, NaN, subnormal and too small values
+  /// underflow; larger ones and inf saturate.
   std::size_t bucket_index(double value) const {
-    if (!(value > 0.0)) return 0;  // zero, negative, NaN -> underflow bucket
     const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
-    const int biased = static_cast<int>(bits >> 52);  // sign known positive
-    if (biased == 0) return 0;  // subnormal: below any sane min_exp
-    const int e = biased - 1022;
-    if (e <= config_.min_exp) return 0;
-    if (e > config_.max_exp) return counts_.size() - 1;  // saturate (and inf)
-    const std::size_t sub = std::size_t{1} << config_.sub_bucket_bits;
-    const auto octave = static_cast<std::size_t>(e - 1 - config_.min_exp);
-    const std::size_t s = (bits & ((std::uint64_t{1} << 52) - 1)) >>
-                          (52 - config_.sub_bucket_bits);
-    return 1 + octave * sub + s;
+    if ((bits >> 52) - fast_lo_ <= fast_span_) [[likely]] {
+      return static_cast<std::size_t>(
+          (bits >> (52 - config_.sub_bucket_bits)) + fast_offset_);
+    }
+    return value >= std::numeric_limits<double>::min() &&
+                   static_cast<std::int64_t>(bits >> 52) > saturate_above_
+               ? counts_.size() - 1
+               : 0;
   }
   /// Inclusive lower / exclusive upper value bound of bucket \p i.
   double bucket_lo(std::size_t i) const;
   double bucket_hi(std::size_t i) const;
 
   Config config_;
+  /// bucket_index(): biased exponents [fast_lo_, fast_lo_ + fast_span_]
+  /// are tracked, with bucket (bits >> (52 - S)) + fast_offset_; normal
+  /// values above saturate_above_ saturate.
+  std::uint64_t fast_lo_ = 0;
+  std::uint64_t fast_span_ = 0;
+  std::uint64_t fast_offset_ = 0;
+  std::int64_t saturate_above_ = 0;
   std::vector<std::uint64_t> counts_;  ///< [underflow, octaves * sub-buckets]
   std::uint64_t count_ = 0;
   double sum_ = 0.0;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -109,6 +110,66 @@ TEST(LatencyHistogram, ExactEdgesAndSmallCounts) {
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 42.0);
   EXPECT_EQ(h.count(), 2u);
+}
+
+/// The bucket the layout comment of latency_histogram.hpp defines for
+/// \p v: frexp octave and linear sub-bucket; zero, negative, NaN and
+/// subnormal values underflow, values past max_exp saturate.
+std::size_t frexp_bucket(const obs::LatencyHistogram::Config& c,
+                         std::size_t buckets, double v) {
+  if (!(v > 0.0) || v < std::numeric_limits<double>::min()) return 0;
+  if (std::isinf(v)) return buckets - 1;
+  int e = 0;
+  const double m = std::frexp(v, &e);
+  if (e <= c.min_exp) return 0;
+  if (e > c.max_exp) return buckets - 1;
+  const std::size_t sub = std::size_t{1} << c.sub_bucket_bits;
+  return 1 + static_cast<std::size_t>(e - 1 - c.min_exp) * sub +
+         static_cast<std::size_t>((m - 0.5) * 2.0 * static_cast<double>(sub));
+}
+
+TEST(LatencyHistogram, BucketIsTheFrexpRuleForEveryConfig) {
+  // The record path's one-compare fast range must agree with the frexp
+  // rule everywhere: at octave edges, outside the tracked range, and for
+  // configs whose range reaches the subnormals or past the largest double,
+  // or lies wholly outside the normal doubles.
+  const obs::LatencyHistogram::Config configs[] = {
+      {}, {2, -3, 3}, {7, 0, 1}, {5, -1100, 1024}, {3, -1022, 1023},
+      {4, -30, 1030}, {5, 1030, 1040}, {5, -1060, -1040}};
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<double> mantissa(0.5, 1.0);
+  std::uniform_int_distribution<int> exponent(-1080, 1030);
+  for (const auto& c : configs) {
+    std::vector<double> values = {
+        0.0, -0.0, -1.0, 1.0, std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    for (int e : {c.min_exp - 1, c.min_exp, c.min_exp + 1, c.max_exp - 1,
+                  c.max_exp, c.max_exp + 1}) {
+      const double edge = std::ldexp(1.0, e);
+      values.insert(values.end(), {edge, std::nextafter(edge, 0.0),
+                                   std::nextafter(edge, 1e308)});
+    }
+    for (int i = 0; i < 200; ++i) {
+      const double v = std::ldexp(mantissa(rng), exponent(rng));
+      values.insert(values.end(), {v, -v});
+    }
+    obs::LatencyHistogram h(c);
+    std::vector<std::uint64_t> before = h.bucket_counts();
+    for (double v : values) {
+      h.record(v);
+      const std::vector<std::uint64_t>& after = h.bucket_counts();
+      const auto hit = static_cast<std::size_t>(
+          std::mismatch(after.begin(), after.end(), before.begin()).first -
+          after.begin());
+      EXPECT_EQ(hit, frexp_bucket(c, after.size(), v))
+          << "value " << v << " config " << c.sub_bucket_bits << "/"
+          << c.min_exp << "/" << c.max_exp;
+      before = after;
+    }
+  }
 }
 
 TEST(LatencyHistogram, MergeEqualsSequentialFeed) {
